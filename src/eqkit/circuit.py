@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .matrix import IntMatrix, checked
+from .matrix import _INT64_SAFE, IntMatrix, checked
 from .verify import CapExceededError, DEFAULT_STEP_CAP, is_eq_q, is_rmds
 
 INPUT = "INPUT"
@@ -28,7 +28,10 @@ EXACT = "EXACT"
 SUM = "SUM"
 _KINDS = (INPUT, LT, EXACT, SUM)
 
-_INT64_SAFE = 1 << 62
+# exhaustive_check streams chunks of at most 2**_MAX_CHUNK_BITS assignments,
+# fewer when a chunk's tables and gate arrays would pass _CHUNK_BYTES.
+_MAX_CHUNK_BITS = 16
+_CHUNK_BYTES = 32 << 20
 
 
 class CircuitFormatError(ValueError):
@@ -62,9 +65,16 @@ class ThresholdCircuit:
             if g.gid in gate_map:
                 raise ValueError(f"duplicate gate id {g.gid}")
             gate_map[g.gid] = g
+        inputs = tuple(inputs)
+        listed = set(inputs)
         for gid in inputs:
             if gid not in gate_map or gate_map[gid].kind != INPUT:
                 raise ValueError(f"input id {gid} is not an INPUT gate")
+        if len(listed) != len(inputs):
+            raise ValueError("input ids must not repeat")
+        for g in gate_map.values():
+            if g.kind == INPUT and g.gid not in listed:
+                raise ValueError(f"INPUT gate {g.gid} is missing from the input list")
         if output not in gate_map:
             raise ValueError(f"output id {output} does not exist")
         for g in gate_map.values():
@@ -72,9 +82,12 @@ class ThresholdCircuit:
                 if src not in gate_map:
                     raise ValueError(f"gate {g.gid} references missing source {src}")
         self._gates = gate_map
-        self._inputs = tuple(inputs)
+        self._inputs = inputs
         self._output = output
         self._order = self._topological_order()
+        self._ordered = tuple(
+            gate_map[gid] for gid in self._order if gate_map[gid].kind != INPUT
+        )
         self._depth = self._compute_depth()
 
     def _topological_order(self) -> tuple[int, ...]:
@@ -124,13 +137,18 @@ class ThresholdCircuit:
         return self._order
 
     @property
+    def ordered_gates(self) -> tuple[Gate, ...]:
+        """The non-input gates in topological order."""
+        return self._ordered
+
+    @property
     def depth(self) -> int:
         return self._depth
 
     @property
     def gate_count(self) -> int:
         """Number of non-input gates."""
-        return sum(1 for g in self._gates.values() if g.kind != INPUT)
+        return len(self._ordered)
 
     @property
     def max_weight(self) -> int:
@@ -154,89 +172,65 @@ def eval_circuit(
     if any(b not in (0, 1) for b in assignment):
         raise ValueError("assignment entries must be bits")
     values: dict[int, int] = dict(zip(c.inputs, (int(b) for b in assignment)))
-    for gid in c.topo_order:
-        g = c.gates[gid]
-        if g.kind == INPUT:
-            continue
+    for g in c.ordered_gates:
         acc = 0
         for src, w in g.fan_in:
             acc = checked(acc + checked(w * values[src]))
         if g.kind == LT:
-            values[gid] = 1 if acc >= g.bias else 0
+            values[g.gid] = 1 if acc >= g.bias else 0
         elif g.kind == EXACT:
-            values[gid] = 1 if acc == g.bias else 0
+            values[g.gid] = 1 if acc == g.bias else 0
         else:
-            values[gid] = checked(acc + g.bias)
+            values[g.gid] = checked(acc + g.bias)
     result = values[c.output]
     return (result, values) if want_trace else result
 
 
-def _assignment_bits(n_inputs: int) -> np.ndarray:
-    """All 2**n assignments in lexicographic order (input 0 most significant)."""
-    total = 1 << n_inputs
-    shifts = np.arange(n_inputs - 1, -1, -1, dtype=np.int64)
-    return ((np.arange(total, dtype=np.int64)[:, None] >> shifts) & 1).astype(np.int64)
-
-
 def _fits_int64(c: ThresholdCircuit) -> bool:
     """Whether every reachable gate value stays within the vectorized budget."""
-    reach: dict[int, int] = {}
-    for gid in c.topo_order:
-        g = c.gates[gid]
-        if g.kind == INPUT:
-            reach[gid] = 1
-            continue
+    reach = dict.fromkeys(c.inputs, 1)
+    for g in c.ordered_gates:
         magnitude = sum(abs(w) * reach[src] for src, w in g.fan_in) + abs(g.bias)
         if magnitude >= _INT64_SAFE:
             return False
-        reach[gid] = magnitude if g.kind == SUM else 1
+        reach[g.gid] = magnitude if g.kind == SUM else 1
     return True
 
 
-def _eval_all(c: ThresholdCircuit, bits: np.ndarray) -> dict[int, np.ndarray]:
-    """Vectorized evaluation over every assignment row of ``bits``."""
-    values: dict[int, np.ndarray] = {}
-    for pos, gid in enumerate(c.inputs):
-        values[gid] = bits[:, pos]
-    for gid in c.topo_order:
-        g = c.gates[gid]
-        if g.kind == INPUT:
-            continue
-        acc = np.zeros(bits.shape[0], dtype=np.int64)
-        for src, w in g.fan_in:
-            acc += w * values[src]
-        if g.kind == LT:
-            values[gid] = (acc >= g.bias).astype(np.int64)
-        elif g.kind == EXACT:
-            values[gid] = (acc == g.bias).astype(np.int64)
-        else:
-            values[gid] = acc + g.bias
-    return values
+def _reference_form(reference, n_inputs, n, weights, values):
+    """The named reference as a linear form: 1 iff test(sum(coef[t] * x_t)).
 
+    Validates the reference arguments.  test takes a Python int or an int64
+    array.
+    """
+    if reference in ("eq", "comp"):
+        if n is None or n_inputs != 2 * n:
+            raise ValueError(f"{reference} reference needs 2n inputs")
+        # x_i and y_i weigh 2**i, so the form is X - Y.
+        coef = [1 << i for i in range(n)] + [-(1 << i) for i in range(n)]
+        if reference == "eq":
+            return coef, lambda s: s == 0
+        return coef, lambda s: s >= 0
+    if reference == "parity":
+        if n is not None and n != n_inputs:
+            raise ValueError("parity reference needs n inputs")
+        return [1] * n_inputs, lambda s: s % 2 == 1
+    if reference == "valueset":
+        if weights is None or values is None:
+            raise ValueError("valueset reference needs weights and values")
+        if len(weights) != n_inputs:
+            raise ValueError("valueset weights must match the input count")
+        accepted = frozenset(int(v) for v in values)
+        # Sums on the int64 path stay below _INT64_SAFE, so larger values never match.
+        small = np.array(
+            sorted(v for v in accepted if abs(v) < _INT64_SAFE), dtype=np.int64
+        )
 
-def reference_eq(n: int, bits: np.ndarray) -> np.ndarray:
-    x = bits[:, :n] @ (1 << np.arange(n, dtype=np.int64))
-    y = bits[:, n:] @ (1 << np.arange(n, dtype=np.int64))
-    return (x == y).astype(np.int64)
+        def test(s):
+            return np.isin(s, small) if isinstance(s, np.ndarray) else s in accepted
 
-
-def reference_comp(n: int, bits: np.ndarray) -> np.ndarray:
-    x = bits[:, :n] @ (1 << np.arange(n, dtype=np.int64))
-    y = bits[:, n:] @ (1 << np.arange(n, dtype=np.int64))
-    return (x >= y).astype(np.int64)
-
-
-def reference_parity(n: int, bits: np.ndarray) -> np.ndarray:
-    return bits.sum(axis=1) % 2
-
-
-def reference_value_set(
-    weights: Sequence[int], values: Iterable[int], bits: np.ndarray
-) -> np.ndarray:
-    sums = bits @ np.array(weights, dtype=np.int64)
-    return np.isin(sums, np.array(sorted(set(values)), dtype=np.int64)).astype(
-        np.int64
-    )
+        return [int(w) for w in weights], test
+    raise ValueError(f"unknown reference {reference!r}")
 
 
 def exhaustive_check(
@@ -251,57 +245,89 @@ def exhaustive_check(
 
     reference is one of "eq", "comp" (2n inputs, x then y, bit i weighing
     2**i), "parity" (n inputs), or "valueset" (weights/values).  Returns
-    None on agreement, else the first mismatching assignment.
+    None on agreement, else the first mismatching assignment, input 0 being
+    the most significant bit of the enumeration counter.  Circuits whose
+    values fit int64 are streamed in chunks of bounded size; the rest are
+    checked one assignment at a time in exact arithmetic.
     """
     n_inputs = len(c.inputs)
     allowed = DEFAULT_STEP_CAP if cap is None else cap
     if 1 << n_inputs > allowed:
         raise CapExceededError(1 << n_inputs, allowed)
-    if reference in ("eq", "comp"):
-        if n is None or n_inputs != 2 * n:
-            raise ValueError(f"{reference} reference needs 2n inputs")
-    elif reference == "parity":
-        if n is not None and n != n_inputs:
-            raise ValueError("parity reference needs n inputs")
-    elif reference == "valueset":
-        if weights is None or values is None:
-            raise ValueError("valueset reference needs weights and values")
-        if len(weights) != n_inputs:
-            raise ValueError("valueset weights must match the input count")
-    else:
-        raise ValueError(f"unknown reference {reference!r}")
-    if not _fits_int64(c):
-        return _exhaustive_check_py(c, reference, n, weights, values)
-    bits = _assignment_bits(n_inputs)
-    got = _eval_all(c, bits)[c.output]
-    if reference == "eq":
-        want = reference_eq(n, bits)
-    elif reference == "comp":
-        want = reference_comp(n, bits)
-    elif reference == "parity":
-        want = reference_parity(n_inputs, bits)
-    else:
-        want = reference_value_set(weights, values, bits)
-    bad = np.flatnonzero(got != want)
-    if bad.size == 0:
-        return None
-    return tuple(int(b) for b in bits[bad[0]])
+    coef, test = _reference_form(reference, n_inputs, n, weights, values)
+    if _fits_int64(c) and sum(abs(w) for w in coef) < _INT64_SAFE:
+        return _stream_check(c, coef, test)
+    return _exhaustive_check_py(c, coef, test)
 
 
-def _exhaustive_check_py(c, reference, n, weights, values):
-    """Exact-arithmetic path for circuits whose values outgrow int64."""
+def _low_table(weights: Sequence[int]) -> np.ndarray:
+    """sum(w_t * bit_t) on all 2**len(weights) rows, weights[0] on the top bit."""
+    table = np.zeros(1, dtype=np.int64)
+    for w in reversed(weights):
+        table = np.concatenate((table, table + w))
+    return table
+
+
+def _stream_check(c: ThresholdCircuit, coef: Sequence[int], test):
+    """int64 form of exhaustive_check, in aligned chunks of 2**L assignments.
+
+    In chunk h the first k - L inputs are the bits of h, and the last L
+    inputs run through the same 2**L columns in every chunk.  So each gate's
+    input fan-in, and the reference form, splits into a table over the low
+    inputs, built once, plus one scalar per chunk from the high inputs.
+    """
+    if c.output in c.inputs:
+        # An input wired straight to the output gets a SUM gate to carry it.
+        top = max(c.gates) + 1
+        wire = Gate(top, SUM, ((c.output, 1),))
+        c = ThresholdCircuit([*c.gates.values(), wire], c.inputs, top)
+    k = len(c.inputs)
+    gates = c.ordered_gates
+    position = {gid: t for t, gid in enumerate(c.inputs)}
+    # One row of input coefficients per gate, then the reference.
+    forms = np.zeros((len(gates) + 1, k), dtype=np.int64)
+    for row, g in enumerate(gates):
+        for src, w in g.fan_in:
+            if src in position:
+                forms[row, position[src]] += w
+    forms[-1] = coef
+    feeds = [[(s, w) for s, w in g.fan_in if s not in position] for g in gates]
+    # Per row: a table and a value array per gate, the reference table, and
+    # the reference sum and test.
+    row_bytes = 8 * (2 * len(gates) + 3)
+    bits = min(k, _MAX_CHUNK_BITS)
+    while bits and row_bytes << bits > _CHUNK_BYTES:
+        bits -= 1
+    low = k - bits
+    tables = [_low_table(f[low:].tolist()) if f[low:].any() else 0 for f in forms]
+    high = forms[:, :low]
+    shifts = np.arange(low - 1, -1, -1, dtype=np.int64)
+    for h in range(1 << low):
+        offsets = (high @ ((h >> shifts) & 1)).tolist()
+        values: dict = {}
+        for g, feed, table, offset in zip(gates, feeds, tables, offsets):
+            acc = table
+            for src, w in feed:
+                acc = acc + w * values[src]
+            if g.kind == LT:
+                values[g.gid] = acc >= g.bias - offset
+            elif g.kind == EXACT:
+                values[g.gid] = acc == g.bias - offset
+            else:
+                values[g.gid] = acc + (g.bias + offset)
+        bad = np.flatnonzero(values[c.output] != test(tables[-1] + offsets[-1]))
+        if bad.size:
+            row = (h << bits) | int(bad[0])
+            return tuple((row >> (k - 1 - t)) & 1 for t in range(k))
+    return None
+
+
+def _exhaustive_check_py(c: ThresholdCircuit, coef: Sequence[int], test):
+    """Exact-arithmetic path for circuits or reference forms that outgrow int64."""
     n_inputs = len(c.inputs)
-    accepted = set(values) if values is not None else None
     for counter in range(1 << n_inputs):
         bits = tuple((counter >> (n_inputs - 1 - t)) & 1 for t in range(n_inputs))
-        if reference == "eq" or reference == "comp":
-            x = sum(b << i for i, b in enumerate(bits[:n]))
-            y = sum(b << i for i, b in enumerate(bits[n:]))
-            want = 1 if (x == y if reference == "eq" else x >= y) else 0
-        elif reference == "parity":
-            want = sum(bits) % 2
-        else:
-            want = 1 if sum(w * b for w, b in zip(weights, bits)) in accepted else 0
+        want = 1 if test(sum(w * b for w, b in zip(coef, bits))) else 0
         if eval_circuit(c, bits) != want:
             return bits
     return None
@@ -414,11 +440,12 @@ def exactify_to_lt(c: ThresholdCircuit) -> ThresholdCircuit:
     an LT/EXACT threshold by the weight, lowering a SUM offset by it).  An
     EXACT output gate gains one SUM gate to realize the -1.
     """
-    next_id = max(c.gates) + 1
+    source = c.gates
+    next_id = max(source) + 1
     split: dict[int, tuple[int, int]] = {}
     gates: list[Gate] = []
     for gid in c.topo_order:
-        g = c.gates[gid]
+        g = source[gid]
         if g.kind == INPUT:
             gates.append(g)
             continue
@@ -456,8 +483,9 @@ def write_circuit(c: ThresholdCircuit) -> str:
         "inputs " + " ".join(str(i) for i in c.inputs),
         f"output {c.output}",
     ]
-    for gid in sorted(c.gates):
-        g = c.gates[gid]
+    gates = c.gates
+    for gid in sorted(gates):
+        g = gates[gid]
         parts = [str(gid), g.kind, str(g.bias)]
         parts.extend(f"{src}:{w}" for src, w in g.fan_in)
         lines.append(" ".join(parts))

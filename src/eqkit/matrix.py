@@ -15,6 +15,8 @@ from typing import Iterable, Optional, Sequence
 
 MAGNITUDE_BITS = 127
 _LIMIT = 1 << MAGNITUDE_BITS
+# Magnitude bound under which the vectorized paths may sum in int64.
+_INT64_SAFE = 1 << 62
 
 
 class MagnitudeError(ArithmeticError):

@@ -20,12 +20,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .matrix import AlphabetSpec, Counterexample, IntMatrix, checked, matvec
+from .matrix import (
+    _INT64_SAFE,
+    AlphabetSpec,
+    Counterexample,
+    IntMatrix,
+    checked,
+    matvec,
+)
 
 DEFAULT_STEP_CAP = 10**8
 
 _CHUNK = 1 << 15
-_INT64_SAFE = 1 << 62
 
 
 class CapExceededError(RuntimeError):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -9,6 +10,8 @@ from eqkit import (
     Gate,
     IntMatrix,
     ThresholdCircuit,
+    build_crt,
+    choose_primes,
     compile_comp_circuit,
     compile_eq_circuit,
     compile_value_set,
@@ -19,6 +22,7 @@ from eqkit import (
     search_rmds,
     write_circuit,
 )
+from eqkit import circuit as circuit_module
 
 
 def naive_eval(c, assignment):
@@ -47,6 +51,41 @@ def truth_table(c):
     return [
         eval_circuit(c, bits) for bits in itertools.product((0, 1), repeat=n)
     ]
+
+
+def reference_value(reference, bits, n=None, weights=None, values=None):
+    """Plain integer semantics of a named reference on one assignment."""
+    if reference in ("eq", "comp"):
+        x = sum(b << i for i, b in enumerate(bits[:n]))
+        y = sum(b << i for i, b in enumerate(bits[n:]))
+        return int(x == y) if reference == "eq" else int(x >= y)
+    if reference == "parity":
+        return sum(bits) % 2
+    return int(sum(w * b for w, b in zip(weights, bits)) in set(values))
+
+
+def first_mismatch_by_rows(c, reference, **kw):
+    """Row-by-row exhaustive check: eval_circuit against reference_value."""
+    for bits in itertools.product((0, 1), repeat=len(c.inputs)):
+        if eval_circuit(c, bits) != reference_value(reference, bits, **kw):
+            return bits
+    return None
+
+
+def perturb(c, rng):
+    """Copy of c with one to three weights or biases moved by one."""
+    gates = c.gates
+    for _ in range(rng.randint(1, 3)):
+        g = gates[rng.choice(c.ordered_gates).gid]
+        fan = list(g.fan_in)
+        bias = g.bias
+        if fan and rng.random() < 0.6:
+            j = rng.randrange(len(fan))
+            fan[j] = (fan[j][0], fan[j][1] + rng.choice((-1, 1)))
+        else:
+            bias += rng.choice((-1, 1))
+        gates[g.gid] = Gate(g.gid, g.kind, tuple(fan), bias)
+    return ThresholdCircuit(gates.values(), c.inputs, c.output)
 
 
 def comp_matrix(n):
@@ -81,6 +120,10 @@ def test_circuit_validation():
         ThresholdCircuit([inp], (1,), 9)  # missing output
     with pytest.raises(ValueError):
         ThresholdCircuit([inp, Gate(2, "LT", ((1, 1),))], (2,), 2)  # bad input id
+    with pytest.raises(ValueError):
+        ThresholdCircuit([inp, Gate(2, "INPUT"), Gate(3, "LT")], (1,), 3)  # unlisted
+    with pytest.raises(ValueError):
+        ThresholdCircuit([inp, Gate(2, "LT", ((1, 1),))], (1, 1), 2)  # repeated
     cyc_a = Gate(2, "LT", ((3, 1),))
     cyc_b = Gate(3, "LT", ((2, 1),))
     with pytest.raises(ValueError):
@@ -124,6 +167,9 @@ def test_eval_matches_reference_evaluator(eq_4x8):
 def test_compile_eq_shape_and_equivalence(eq_4x8):
     c = compile_eq_circuit(eq_4x8)
     assert c.gate_count == 5
+    assert [g.gid for g in c.ordered_gates] == [
+        gid for gid in c.topo_order if c.gates[gid].kind != "INPUT"
+    ]
     assert c.depth == 2
     assert len(c.inputs) == 16
     assert eval_circuit(c, (0,) * 16) == 1
@@ -321,3 +367,78 @@ def test_leading_difference_trichotomy():
                 total = xv - yv
                 assert plus == (total > 0)
                 assert minus == (total < 0)
+
+
+@pytest.mark.parametrize("chunk_bytes", [8, 1 << 12, 1 << 14])
+def test_exhaustive_check_matches_row_by_row(monkeypatch, chunk_bytes):
+    # A small byte ceiling shrinks the chunks, so several chunks and their
+    # high-input scalars are exercised.
+    monkeypatch.setattr(circuit_module, "_CHUNK_BYTES", chunk_bytes)
+    a, params = comp_matrix(3)
+    comp = compile_comp_circuit(a, 3, params["m"], params["r"])
+    cases = [(comp, "comp", dict(n=3)), (exactify_to_lt(comp), "comp", dict(n=3))]
+    for n in (3, 4):
+        eq = compile_eq_circuit(build_crt(n, choose_primes(n)), verify=False)
+        cases += [(eq, "eq", dict(n=n)), (exactify_to_lt(eq), "eq", dict(n=n))]
+        cases += [(eq, "comp", dict(n=n))]
+    ws, vs = (1, 2, 4, 1), {1, 3, 4, 7}
+    cases += [
+        (compile_value_set(ws, vs), "parity", {}),
+        (compile_value_set(ws, vs), "valueset", dict(weights=ws, values=vs)),
+        (compile_value_set(ws, vs), "valueset", dict(weights=ws, values={1, 4})),
+    ]
+    wire = ThresholdCircuit([Gate(1, "INPUT")], (1,), 1)  # output is the input
+    cases += [(wire, "parity", {}), (wire, "valueset", dict(weights=(1,), values={0}))]
+    rng = random.Random(chunk_bytes)
+    mismatches = 0
+    for trial in range(120):
+        c, reference, kw = cases[trial % len(cases)]
+        if trial >= len(cases) and c.ordered_gates:
+            c = perturb(c, rng)
+        want = first_mismatch_by_rows(c, reference, **kw)
+        assert exhaustive_check(c, reference, **kw) == want
+        mismatches += want is not None
+    assert mismatches > 40
+
+
+BIG = 1 << 61
+
+
+@pytest.mark.parametrize(
+    "circuit_weights, circuit_values, weights, values",
+    [
+        # Weights near 2**61 push gate values past the int64 budget.
+        ((BIG - 1, BIG, 1, 2), {BIG, 3}, (BIG - 1, BIG, 1, 2), {BIG, 3}),
+        ((BIG - 1, BIG, 1, 2), {BIG, 3}, (BIG - 1, BIG, 1, 2), {BIG}),
+        # The circuit fits int64, but the reference sums do not.
+        ((1, 1), {2}, (2 * BIG, 2 * BIG), {4 * BIG}),
+        ((1, 1), {1}, (2 * BIG, 2 * BIG), {4 * BIG}),
+    ],
+)
+def test_exhaustive_check_exact_path(
+    monkeypatch, circuit_weights, circuit_values, weights, values
+):
+    c = compile_value_set(circuit_weights, circuit_values)
+    calls = []
+    exact = circuit_module._exhaustive_check_py
+    monkeypatch.setattr(
+        circuit_module,
+        "_exhaustive_check_py",
+        lambda *args: calls.append(args) or exact(*args),
+    )
+    want = first_mismatch_by_rows(c, "valueset", weights=weights, values=values)
+    assert exhaustive_check(c, "valueset", weights=weights, values=values) == want
+    assert len(calls) == 1
+
+
+def test_exhaustive_check_memory_is_bounded():
+    # 2**22 assignments; evaluating them all at once takes several hundred MB.
+    n = 11
+    c = compile_eq_circuit(build_crt(n, choose_primes(n)))
+    tracemalloc.start()
+    try:
+        assert exhaustive_check(c, "eq", n=n) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20

@@ -431,6 +431,24 @@ def test_circuit_check_reports_mismatch(capsys, tmp_path):
     assert out.startswith("FAIL assignment=")
 
 
+@pytest.mark.parametrize("inputs", ["1", "1 1", "1 2 2"])
+def test_circuit_rejects_malformed_input_list(capsys, tmp_path, inputs):
+    # An INPUT gate left out of the list, or an input id listed twice.
+    circuit_file = tmp_path / "bad.circ"
+    circuit_file.write_text(
+        f"inputs {inputs}\noutput 3\n1 INPUT 0\n2 INPUT 0\n3 LT 1 1:1 2:1\n"
+    )
+    k = len(inputs.split())
+    for argv in (
+        ("circuit", "eval", str(circuit_file), "--input", " ".join("1" * k)),
+        ("circuit", "check", str(circuit_file), "--ref", "parity", "--n", str(k)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["construct", "eq"])  # missing --k
