@@ -72,7 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
         "small-weight integer matrices and threshold circuits.",
     )
     parser.add_argument("--cap", type=int, default=None, help="enumeration step cap")
-    parser.add_argument("--threads", type=int, default=1, help="verifier parallelism")
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="kept for compatibility (>= 1); the oracles run in one thread",
+    )
     commands = parser.add_subparsers(dest="command", required=True)
 
     construct = commands.add_parser("construct", help="build a matrix")
@@ -346,6 +351,8 @@ _HANDLERS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return _HANDLERS[args.command](args)
     except (
         ValueError,

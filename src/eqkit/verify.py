@@ -1,18 +1,23 @@
 """Exhaustive and algebraic oracles for the matrix properties, plus the bound formulas.
 
 The enumeration-based checks (is_eq_q, is_rmds) are budgeted by an explicit
-step cap and return deterministic witnesses regardless of chunking or thread
-count.  Vectors are enumerated with coordinate 0 varying fastest, so the
-highest coordinate (the most significant one under the power-of-two weight
-convention) is compared first and the order agrees with ascending integer
-value; component values are ordered -(q-1) < ... < q-1.
+step cap and return deterministic witnesses.  Vectors are enumerated with
+coordinate 0 varying fastest, so the highest coordinate (the most
+significant one under the power-of-two weight convention) is compared first
+and the order agrees with ascending integer value; component values are
+ordered -(q-1) < ... < q-1.
+
+is_eq_q decides both modes by meet in the middle (Horowitz-Sahni): an exact
+key table over the low ceil(n/2) coordinates and a chunked scan of the high
+ones, about 2*(2q-1)^ceil(n/2) work; the cap is still charged (2q-1)^n or
+q^n.  Injectivity mode enumerates the q^n encodings only on failure, to
+report the first colliding pair.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,6 +37,8 @@ from .matrix import (
 DEFAULT_STEP_CAP = 10**8
 
 _CHUNK = 1 << 15
+_TABLE_ROWS = 1 << 20
+_GRID_ROWS = 1 << 12
 
 
 class CapExceededError(RuntimeError):
@@ -72,37 +79,8 @@ def _check_cap(required: int, cap: Optional[int]) -> None:
         raise CapExceededError(required, allowed)
 
 
-@lru_cache(maxsize=64)
-def _digit_block(start: int, stop: int, n: int, base: int) -> np.ndarray:
-    """Base-``base`` digit rows for counter values [start, stop), coordinate j = digit j."""
-    vals = np.arange(start, stop, dtype=np.int64)
-    divisors = base ** np.arange(n, dtype=np.int64)
-    digits = (vals[:, None] // divisors[None, :]) % base
-    digits.flags.writeable = False
-    return digits
-
-
 def _digits_of(value: int, n: int, base: int) -> tuple[int, ...]:
     return tuple((value // base**j) % base for j in range(n))
-
-
-def _chunks(total: int) -> list[tuple[int, int]]:
-    return [(s, min(s + _CHUNK, total)) for s in range(0, total, _CHUNK)]
-
-
-def _scan_ordered(spans, scan, threads: int):
-    """First non-None scan(span) result in span order, optionally threaded."""
-    if threads <= 1:
-        for span in spans:
-            hit = scan(span)
-            if hit is not None:
-                return hit
-        return None
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for hit in pool.map(scan, spans):
-            if hit is not None:
-                return hit
-    return None
 
 
 def is_eq_q(
@@ -114,103 +92,124 @@ def is_eq_q(
 ) -> Optional[Counterexample]:
     """Exhaustive EQ_q oracle; None means the property holds.
 
-    kernel mode enumerates {-(q-1),..,q-1}^n \\ {0} and returns the first
-    kernel vector; injectivity mode enumerates the encodings {0,..,q-1}^n
-    and returns the difference of the first colliding pair (earlier member
-    minus later member).
+    kernel mode returns the first vector of {-(q-1),..,q-1}^n \\ {0} in
+    enumeration order with A x = 0; injectivity mode returns the difference
+    of the first colliding pair of encodings in {0,..,q-1}^n (earlier member
+    minus later member).  ``threads`` is accepted for callers and ignored:
+    the search runs in the calling thread.
     """
     alphabet = AlphabetSpec(q)
     if mode == "kernel":
         _check_cap(alphabet.kernel_size**a.n, cap)
-        return _kernel_search(a, q, threads)
+        return _kernel_search(a, q)
     if mode == "injectivity":
         _check_cap(q**a.n, cap)
-        return _injectivity_search(a, q, threads)
+        if _kernel_search(a, q) is None:
+            return None
+        return _injectivity_search(a, q)
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _vector_bound(a: IntMatrix, q: int) -> int:
-    return max(sum(abs(v) for v in row) for row in a.entries) * (q - 1)
+def _packed_row(a: IntMatrix, q: int) -> np.ndarray:
+    """One row c with c.x = 0 exactly when A x = 0, for x in {-(q-1),..,q-1}^n.
+
+    Row i of A x lies in [-B_i, B_i] with B_i = (q-1) * sum_j |a_ij|, so the
+    balanced mixed-radix weights W_i = prod_{k<i} (2 B_k + 1) pack A x into
+    one integer without collisions: c = W A.  int64 when prod (2 B_i + 1) is
+    below _INT64_SAFE (every partial sum of c.x then fits), else an object
+    array of exact Python ints.
+    """
+    coef = [0] * a.n
+    weight = 1
+    for row in a.entries:
+        coef = [c + weight * v for c, v in zip(coef, row)]
+        weight *= 2 * (q - 1) * sum(abs(v) for v in row) + 1
+    return np.array(coef, dtype=np.int64 if weight < _INT64_SAFE else object)
 
 
-def _kernel_search(a: IntMatrix, q: int, threads: int) -> Optional[Counterexample]:
-    n = a.n
-    base = 2 * q - 1
-    total = base**n
-    shift = q - 1
-    zero_index = shift * (total - 1) // (base - 1)
-    if _vector_bound(a, q) >= _INT64_SAFE or a.weight_bound >= _INT64_SAFE:
-        return _kernel_search_py(a, q)
-    amat = np.array(a.entries, dtype=np.int64)
-
-    def scan(span):
-        start, stop = span
-        x = _digit_block(start, stop, n, base) - shift
-        hits = np.flatnonzero(~(x @ amat.T).any(axis=1))
-        for i in hits:
-            value = start + int(i)
-            if value != zero_index:
-                return value
-        return None
-
-    hit = _scan_ordered(_chunks(total), scan, threads)
-    if hit is None:
-        return None
-    return Counterexample(tuple(d - shift for d in _digits_of(hit, n, base)))
+@lru_cache(maxsize=32)
+def _digit_grid(n: int, values: range) -> np.ndarray:
+    """Row v is the vector of values^n with counter v (coordinate 0 fastest)."""
+    base = len(values)
+    grid = np.arange(base**n)[:, None] // base ** np.arange(n) % base + values.start
+    grid.flags.writeable = False
+    return grid
 
 
-def _kernel_search_py(a: IntMatrix, q: int) -> Optional[Counterexample]:
-    for rev in itertools.product(range(-(q - 1), q), repeat=a.n):
-        x = rev[::-1]  # coordinate 0 varies fastest
-        if any(x) and not any(matvec(a, x)):
-            return Counterexample(x)
+def _keys(coef: np.ndarray, values: range) -> np.ndarray:
+    """c.x for every x in values^len(c), in counter order (first coordinate fastest).
+
+    A cached grid of at most _GRID_ROWS rows covers the first coordinates
+    (all of them for is_rmds blocks); each further one is a broadcast add.
+    """
+    head = 0
+    while head < coef.size and len(values) ** (head + 1) <= _GRID_ROWS:
+        head += 1
+    keys = _digit_grid(head, values) @ coef[:head]
+    for c in coef[head:]:
+        digits = np.arange(values.start, values.stop).astype(coef.dtype)
+        keys = (digits[:, None] * c + keys).ravel()
+    return keys
+
+
+def _kernel_search(a: IntMatrix, q: int) -> Optional[Counterexample]:
+    """First nonzero kernel vector in enumeration order, by meet in the middle.
+
+    The counter splits as v = v_low + base**low * v_high.  The low table maps
+    each key c_L.x_L to its smallest low counter; the high counters are
+    scanned in ascending order, looking up -c_H.x_H in chunks of at most
+    _CHUNK: the negated keys of the first high coordinates, built once, minus
+    one scalar per chunk for the rest.  The first hit therefore has the
+    smallest v_high and, for it, the smallest v_low.  x_high = 0 instead
+    needs the smallest nonzero x_low with key 0.
+    """
+    n, base, values = a.n, 2 * q - 1, range(1 - q, q)
+    coef = _packed_row(a, q)
+    low = (n + 1) // 2
+    while base**low > _TABLE_ROWS:
+        low -= 1
+    keys = _keys(coef[:low], values)
+    table, first = np.unique(keys, return_index=True)
+    zero_low = (q - 1) * (base**low - 1) // (base - 1)
+    zero_alt = next((int(v) for v in np.flatnonzero(keys == 0) if v != zero_low), None)
+    high = n - low
+    zero_high = (q - 1) * (base**high - 1) // (base - 1)
+    span = 0
+    while span < high and base ** (span + 1) <= _CHUNK:
+        span += 1
+    head = -_keys(coef[low : low + span], values)
+    target = np.empty_like(head)
+    for rest in range(base ** (high - span)):
+        digits = zip(_digits_of(rest, high - span, base), coef[low + span :])
+        np.subtract(head, sum((d + 1 - q) * int(c) for d, c in digits), out=target)
+        start = rest * head.size
+        idx = np.minimum(np.searchsorted(table, target), table.size - 1)
+        hit = table[idx] == target
+        if start <= zero_high < start + hit.size:
+            hit[zero_high - start] = zero_alt is not None
+        pos = np.flatnonzero(hit)
+        if pos.size:
+            v_high = start + int(pos[0])
+            v_low = zero_alt if v_high == zero_high else int(first[idx[pos[0]]])
+            value = v_low + base**low * v_high
+            return Counterexample(tuple(d + 1 - q for d in _digits_of(value, n, base)))
     return None
 
 
-def _injectivity_search(a: IntMatrix, q: int, threads: int) -> Optional[Counterexample]:
-    n, m = a.n, a.m
-    total = q**n
-    bound = _vector_bound(a, q)
-    keybase = 2 * bound + 1
-    if keybase**m >= _INT64_SAFE:
-        return _injectivity_search_py(a, q)
-    amat = np.array(a.entries, dtype=np.int64)
-    keys = np.empty(total, dtype=np.int64)
-
-    def fill(span):
-        start, stop = span
-        z = _digit_block(start, stop, n, q) @ amat.T
-        acc = z[:, 0] + bound
-        for col in range(1, m):
-            acc = acc * keybase + (z[:, col] + bound)
-        keys[start:stop] = acc
-        return None
-
-    _scan_ordered(_chunks(total), fill, threads)
+def _injectivity_search(a: IntMatrix, q: int) -> Optional[Counterexample]:
+    keys = _keys(_packed_row(a, q), range(q))
     _, first_of_unique, inverse = np.unique(
         keys, return_index=True, return_inverse=True
     )
     first = first_of_unique[inverse]
-    duplicates = np.flatnonzero(first != np.arange(total))
+    duplicates = np.flatnonzero(first != np.arange(keys.size))
     if duplicates.size == 0:
         return None
     later = int(duplicates[0])
     earlier = int(first[later])
-    xe = _digits_of(earlier, n, q)
-    xl = _digits_of(later, n, q)
+    xe = _digits_of(earlier, a.n, q)
+    xl = _digits_of(later, a.n, q)
     return Counterexample(tuple(b - c for b, c in zip(xe, xl)))
-
-
-def _injectivity_search_py(a: IntMatrix, q: int) -> Optional[Counterexample]:
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for rev in itertools.product(range(q), repeat=a.n):
-        x = rev[::-1]
-        z = matvec(a, x)
-        prior = seen.get(z)
-        if prior is not None:
-            return Counterexample(tuple(b - c for b, c in zip(prior, x)))
-        seen[z] = x
-    return None
 
 
 def det_bareiss(rows: Sequence[Sequence[int]]) -> int:
@@ -271,7 +270,8 @@ def is_rmds(
     kernel vector splits into a colliding pair).  On failure returns the
     lexicographically first failing row set with its kernel witness.  The
     MDS rate rows/m may be rational (the 5-row residue fixture has rate
-    5/4), so any m <= rows is accepted.
+    5/4), so any m <= rows is accepted.  ``threads`` is ignored, as in
+    is_eq_q.
     """
     if m < 1:
         raise ValueError("block row count m must be >= 1")
@@ -281,7 +281,7 @@ def is_rmds(
     _check_cap(math.comb(a.m, m) * alphabet.kernel_size**a.n, cap)
     for rows in itertools.combinations(range(a.m), m):
         block = IntMatrix.from_rows([a.entries[i] for i in rows])
-        witness = _injectivity_search(block, q, threads)
+        witness = _injectivity_search(block, q)
         if witness is not None:
             return RmdsWitness(rows, witness)
     return None

@@ -112,6 +112,15 @@ def test_verify_eq_threaded(capsys):
     assert out == "PASS\n"
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_usage_error(capsys, threads):
+    matrix = str(FIXTURES / "eq_k2.txt")
+    code, out, err = run(capsys, "--threads", threads, "verify", "eq", "--q", "2", matrix)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_decode_rejects_mismatched_trace(capsys, tmp_path):
     lying = tmp_path / "lying.txt"
     lying.write_text("# trace m0=1 n0=1 k=1 q=2\n2 3\n1 1 1\n1 1 0\n")

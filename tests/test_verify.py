@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from eqkit import (
     IntMatrix,
     bounds_report,
     build_crt,
+    choose_primes,
     construct_eq,
     crt_residue_check,
     det_bareiss,
@@ -18,6 +20,7 @@ from eqkit import (
     matvec,
     truncate_columns,
 )
+from eqkit import verify
 from oracles import brute_collision, brute_kernel, det_cofactor
 
 
@@ -73,9 +76,110 @@ def test_threads_do_not_change_the_witness():
     rng = random.Random(4)
     for _ in range(20):
         a = _random_matrix(rng, 2, 6)
-        single = is_eq_q(a, 2, mode="kernel", threads=1)
-        multi = is_eq_q(a, 2, mode="kernel", threads=4)
-        assert (single.x if single else None) == (multi.x if multi else None)
+        for mode in ("kernel", "injectivity"):
+            single = is_eq_q(a, 2, mode=mode, threads=1)
+            for threads in (2, 4):
+                multi = is_eq_q(a, 2, mode=mode, threads=threads)
+                assert (single.x if single else None) == (multi.x if multi else None)
+
+
+def _with_duplicate_or_zero_column(rng, a):
+    rows = [list(r) for r in a.entries]
+    j = rng.randrange(a.n)
+    for r in rows:
+        r[j] = r[rng.randrange(a.n)] if rng.random() < 0.5 else 0
+    return IntMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("n", range(1, 10))
+def test_meet_in_the_middle_matches_brute_force(q, n):
+    rng = random.Random(1000 * q + n)
+    # The brute-force oracles walk up to 5^9 vectors in pure Python.
+    for trial in range(12 if (2 * q - 1) ** n <= 3**9 else 4):
+        a = _random_matrix(rng, trial % 4 + 1, n, lo=-3, hi=3)
+        if trial % 3 == 0:
+            a = _with_duplicate_or_zero_column(rng, a)
+        got = is_eq_q(a, q, mode="kernel")
+        assert (got.x if got else None) == brute_kernel(a.entries, q)
+        got = is_eq_q(a, q, mode="injectivity")
+        assert (got.x if got else None) == brute_collision(a.entries, q)
+
+
+# The low half is the first ceil(n/2) coordinates.
+HALF_CASES = [
+    # Every kernel vector has x_high = 0: the smallest nonzero low key-0 entry.
+    ([[1, 1, 100, 1000]], 2, (1, -1, 0, 0)),
+    ([[1, 2, 1, 100, 1000]], 3, (2, 0, -2, 0, 0)),
+    # Every kernel vector has x_low = 0: the zero low vector is the match.
+    ([[100, 1000, 1, 1]], 2, (0, 0, 1, -1)),
+    ([[100, 1000, 7, 2, 1]], 3, (0, 0, 0, 1, -2)),
+]
+
+
+@pytest.mark.parametrize("rows, q, witness", HALF_CASES)
+def test_witness_within_one_half(rows, q, witness):
+    assert brute_kernel(rows, q) == witness
+    assert is_eq_q(IntMatrix.from_rows(rows), q, mode="kernel").x == witness
+
+
+@pytest.mark.parametrize(
+    "table_rows, chunk, grid_rows", [(1, 1, 1), (3, 2, 3), (9, 5, 1), (30, 40, 9)]
+)
+def test_uneven_split_and_small_chunks(monkeypatch, table_rows, chunk, grid_rows):
+    # A low table capped below ceil(n/2) coordinates, high chunks of a few
+    # rows and keys built mostly by broadcast adds must give the same witnesses.
+    monkeypatch.setattr(verify, "_TABLE_ROWS", table_rows)
+    monkeypatch.setattr(verify, "_CHUNK", chunk)
+    monkeypatch.setattr(verify, "_GRID_ROWS", grid_rows)
+    rng = random.Random(table_rows * 100 + chunk)
+    cases = [IntMatrix.from_rows(rows) for rows, _, _ in HALF_CASES]
+    for _ in range(25):
+        cases.append(_random_matrix(rng, rng.randint(1, 3), rng.randint(1, 6)))
+    for a in cases:
+        for q in (2, 3):
+            got = is_eq_q(a, q, mode="kernel")
+            assert (got.x if got else None) == brute_kernel(a.entries, q)
+            got = is_eq_q(a, q, mode="injectivity")
+            assert (got.x if got else None) == brute_collision(a.entries, q)
+
+
+def test_exact_path_near_2_to_61():
+    big = 1 << 61
+    rng = random.Random(61)
+    for _ in range(10):
+        rows = [[big + rng.randint(-2, 2) for _ in range(5)] for _ in range(2)]
+        a = IntMatrix.from_rows(rows)
+        assert verify._packed_row(a, 2).dtype == object
+        got = is_eq_q(a, 2, mode="kernel")
+        assert (got.x if got else None) == brute_kernel(a.entries, 2)
+        got = is_eq_q(a, 2, mode="injectivity")
+        assert (got.x if got else None) == brute_collision(a.entries, 2)
+    # Independent large columns: the exact path must also report PASS.
+    a = IntMatrix.from_rows([[big, 3 * big + 1, 9 * big + 5]])
+    assert brute_kernel(a.entries, 2) is None
+    assert is_eq_q(a, 2, mode="kernel") is None
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_oracle_memory_stays_small():
+    a = build_crt(20, choose_primes(20))
+    result, peak = _peak_bytes(lambda: is_eq_q(a, 2, mode="injectivity"))
+    assert result is None
+    assert peak < 32 << 20
+    a = build_crt(14, choose_primes(14))
+    result, peak = _peak_bytes(lambda: is_eq_q(a, 2, mode="kernel"))
+    assert result is None
+    assert peak < 8 << 20
 
 
 def test_unknown_mode_rejected(eq_4x8):
