@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .matrix import _INT64_SAFE, IntMatrix, checked
-from .verify import CapExceededError, DEFAULT_STEP_CAP, is_eq_q, is_rmds
+from .verify import _check_cap, _keys, is_eq_q, is_rmds
 
 INPUT = "INPUT"
 LT = "LT"
@@ -150,16 +150,6 @@ class ThresholdCircuit:
         """Number of non-input gates."""
         return len(self._ordered)
 
-    @property
-    def max_weight(self) -> int:
-        return max(
-            (abs(w) for g in self._gates.values() for _, w in g.fan_in), default=0
-        )
-
-    @property
-    def max_bias(self) -> int:
-        return max(abs(g.bias) for g in self._gates.values())
-
 
 def eval_circuit(
     c: ThresholdCircuit, assignment: Sequence[int], want_trace: bool = False
@@ -251,21 +241,11 @@ def exhaustive_check(
     checked one assignment at a time in exact arithmetic.
     """
     n_inputs = len(c.inputs)
-    allowed = DEFAULT_STEP_CAP if cap is None else cap
-    if 1 << n_inputs > allowed:
-        raise CapExceededError(1 << n_inputs, allowed)
+    _check_cap(1 << n_inputs, cap)
     coef, test = _reference_form(reference, n_inputs, n, weights, values)
     if _fits_int64(c) and sum(abs(w) for w in coef) < _INT64_SAFE:
         return _stream_check(c, coef, test)
     return _exhaustive_check_py(c, coef, test)
-
-
-def _low_table(weights: Sequence[int]) -> np.ndarray:
-    """sum(w_t * bit_t) on all 2**len(weights) rows, weights[0] on the top bit."""
-    table = np.zeros(1, dtype=np.int64)
-    for w in reversed(weights):
-        table = np.concatenate((table, table + w))
-    return table
 
 
 def _stream_check(c: ThresholdCircuit, coef: Sequence[int], test):
@@ -299,7 +279,10 @@ def _stream_check(c: ThresholdCircuit, coef: Sequence[int], test):
     while bits and row_bytes << bits > _CHUNK_BYTES:
         bits -= 1
     low = k - bits
-    tables = [_low_table(f[low:].tolist()) if f[low:].any() else 0 for f in forms]
+    # Input 0 is the top counter bit, so the low inputs run last to first.
+    # The copies free the 2-D arrays _keys builds; measured, the per-chunk
+    # temporaries then reuse heap pages (960, not 4,300, page faults at k=20).
+    tables = [_keys(f[low:][::-1], range(2)).copy() if f[low:].any() else 0 for f in forms]
     high = forms[:, :low]
     shifts = np.arange(low - 1, -1, -1, dtype=np.int64)
     for h in range(1 << low):
@@ -349,18 +332,30 @@ def compile_eq_circuit(
                 f"matrix failed the EQ check (kernel vector {witness.x}); "
                 "pass verify=False to compile anyway"
             )
-    n, m = a.n, a.m
-    gates = [Gate(i + 1, INPUT) for i in range(2 * n)]
-    layer = []
-    for i in range(m):
-        fan = [(j + 1, a[i, j]) for j in range(n) if a[i, j]]
-        fan += [(n + j + 1, -a[i, j]) for j in range(n) if a[i, j]]
-        gid = 2 * n + 1 + i
-        gates.append(Gate(gid, EXACT, tuple(fan), 0))
-        layer.append(gid)
-    top = 2 * n + m + 1
-    gates.append(Gate(top, EXACT, tuple((gid, 1) for gid in layer), m))
-    return ThresholdCircuit(gates, tuple(range(1, 2 * n + 1)), top)
+    layer = [(_difference_fan(a, i, 0), 0) for i in range(a.m)]
+    return _depth_two(2 * a.n, layer, EXACT, 1, a.m)
+
+
+def _difference_fan(a: IntMatrix, i: int, start: int) -> list[tuple[int, int]]:
+    """Fan-in of row i of A, restricted to columns start.., on x minus y."""
+    fan = [(j + 1, a[i, j]) for j in range(start, a.n) if a[i, j]]
+    return fan + [(a.n + j + 1, -a[i, j]) for j in range(start, a.n) if a[i, j]]
+
+
+def _depth_two(
+    k: int,
+    layer: Sequence[tuple[Sequence[tuple[int, int]], int]],
+    top_kind: str,
+    top_weight: int,
+    top_bias: int,
+) -> ThresholdCircuit:
+    """Inputs 1..k, one EXACT gate per (fan-in, bias) in layer, then the top gate."""
+    gates = [Gate(i + 1, INPUT) for i in range(k)]
+    gates += [Gate(k + 1 + t, EXACT, tuple(fan), b) for t, (fan, b) in enumerate(layer)]
+    top = k + len(layer) + 1
+    fan = tuple((gid, top_weight) for gid in range(k + 1, top))
+    gates.append(Gate(top, top_kind, fan, top_bias))
+    return ThresholdCircuit(gates, tuple(range(1, k + 1)), top)
 
 
 def compile_value_set(
@@ -374,16 +369,8 @@ def compile_value_set(
         raise ValueError("at least one weight is required")
     if not accepted:
         warnings.warn("empty accepted set; emitting a constant-0 circuit")
-    gates = [Gate(i + 1, INPUT) for i in range(n)]
-    layer = []
-    for offset, s in enumerate(accepted):
-        gid = n + 1 + offset
-        fan = tuple((j + 1, w) for j, w in enumerate(weights) if w)
-        gates.append(Gate(gid, EXACT, fan, s))
-        layer.append(gid)
-    top = n + len(accepted) + 1
-    gates.append(Gate(top, LT, tuple((gid, 1) for gid in layer), 1))
-    return ThresholdCircuit(gates, tuple(range(1, n + 1)), top)
+    fan = [(j + 1, w) for j, w in enumerate(weights) if w]
+    return _depth_two(n, [(fan, s) for s in accepted], LT, 1, 1)
 
 
 def compile_comp_circuit(
@@ -416,20 +403,12 @@ def compile_comp_circuit(
                 f"matrix failed the RMDS_3 check (rows {witness.rows}, kernel "
                 f"{witness.kernel.x}); pass verify=False to compile anyway"
             )
-    rm = r * m
-    gates = [Gate(i + 1, INPUT) for i in range(2 * n)]
-    layer = []
-    gid = 2 * n
-    for level in range(n):
-        for i in range(rm):
-            gid += 1
-            fan = [(j + 1, a[i, j]) for j in range(level, n) if a[i, j]]
-            fan += [(n + j + 1, -a[i, j]) for j in range(level, n) if a[i, j]]
-            gates.append(Gate(gid, EXACT, tuple(fan), -a[i, level]))
-            layer.append(gid)
-    top = gid + 1
-    gates.append(Gate(top, LT, tuple((g, -1) for g in layer), -n * (m - 1) + 1))
-    return ThresholdCircuit(gates, tuple(range(1, 2 * n + 1)), top)
+    layer = [
+        (_difference_fan(a, i, level), -a[i, level])
+        for level in range(n)
+        for i in range(r * m)
+    ]
+    return _depth_two(2 * n, layer, LT, -1, -n * (m - 1) + 1)
 
 
 def exactify_to_lt(c: ThresholdCircuit) -> ThresholdCircuit:

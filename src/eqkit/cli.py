@@ -19,6 +19,7 @@ from .circuit import (
     eval_circuit,
     exactify_to_lt,
     exhaustive_check,
+    format_trace,
     read_circuit,
     write_circuit,
 )
@@ -57,6 +58,19 @@ def _emit(text: str, out: Optional[str]) -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _join(values) -> str:
+    return " ".join(str(v) for v in values)
+
+
+def _verdict(witness, describe) -> int:
+    """Print PASS (exit 0) for no witness, else FAIL and its description (exit 1)."""
+    if witness is None:
+        print("PASS")
+        return 0
+    print("FAIL " + describe(witness))
+    return 1
 
 
 def _fmt_number(value) -> str:
@@ -175,47 +189,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_construct(args) -> int:
-    if args.family == "eq":
-        base = _load_matrix(args.base)[0] if args.base else None
-        a, trace = construct_eq(args.k, base)
-        _emit(write_matrix(a, trace), args.out)
-    elif args.family == "eqq":
-        base = _load_matrix(args.base)[0] if args.base else None
-        a, trace = construct_eq_q(args.k, args.q, base)
-        _emit(write_matrix(a, trace), args.out)
-    else:
+    if args.family == "crt":
         primes = tuple(args.primes) if args.primes else choose_primes(args.n)
         _emit(write_matrix(build_crt(args.n, primes)), args.out)
+        return 0
+    base = _load_matrix(args.base)[0] if args.base else None
+    if args.family == "eq":
+        a, trace = construct_eq(args.k, base)
+    else:
+        a, trace = construct_eq_q(args.k, args.q, base)
+    _emit(write_matrix(a, trace), args.out)
     return 0
 
 
 def _run_verify(args) -> int:
     a, _ = _load_matrix(args.file)
     if args.property == "eq":
-        witness = is_eq_q(a, args.q, mode=args.mode, cap=args.cap, threads=args.threads)
-        if witness is None:
-            print("PASS")
-            return 0
-        print("FAIL kernel x=" + " ".join(str(v) for v in witness.x))
-        return 1
+        witness = is_eq_q(a, args.q, mode=args.mode, cap=args.cap)
+        return _verdict(witness, lambda w: "kernel x=" + _join(w.x))
     if args.property == "mds":
         cols = is_mds(a, cap=args.cap)
-        if cols is None:
-            print("PASS")
-            return 0
-        print("FAIL minor cols=" + " ".join(str(c + 1) for c in cols))
-        return 1
-    witness = is_rmds(a, args.m, args.q, cap=args.cap, threads=args.threads)
-    if witness is None:
-        print("PASS")
-        return 0
-    print(
-        "FAIL rows="
-        + " ".join(str(i + 1) for i in witness.rows)
-        + " kernel x="
-        + " ".join(str(v) for v in witness.kernel.x)
+        return _verdict(cols, lambda w: "minor cols=" + _join(c + 1 for c in w))
+    witness = is_rmds(a, args.m, args.q, cap=args.cap)
+    return _verdict(
+        witness,
+        lambda w: f"rows={_join(i + 1 for i in w.rows)} kernel x={_join(w.kernel.x)}",
     )
-    return 1
 
 
 def _run_bounds(args) -> int:
@@ -245,8 +244,8 @@ def _run_decode(args) -> int:
     if trace is None:
         raise ValueError("decode needs a matrix file with a trace comment")
     if trace.q == 2 and (trace.m0, trace.n0) == (1, 1):
-        rebuilt, _ = construct_eq(trace.k)
-        if rebuilt != a:
+        # The shape is checked first: a lying k would make the rebuild huge.
+        if (a.m, a.n) != (trace.rows, trace.cols) or construct_eq(trace.k)[0] != a:
             raise ValueError("matrix file does not match its trace")
     z = _parse_vector(args.z)
     try:
@@ -254,14 +253,14 @@ def _run_decode(args) -> int:
     except NotInImageError as exc:
         print(exc)
         return 1
-    print(" ".join(str(v) for v in x))
+    print(_join(x))
     return 0
 
 
 def _run_encode(args) -> int:
     a, _ = _load_matrix(args.file)
     z = encode(a, _parse_vector(args.x))
-    print(" ".join(str(v) for v in z))
+    print(_join(z))
     return 0
 
 
@@ -275,7 +274,6 @@ def _run_search(args) -> int:
         args.seed,
         args.max_attempts,
         cap=args.cap,
-        threads=args.threads,
     )
     if found is None:
         print(f"EXHAUSTED after {attempts} attempts")
@@ -291,49 +289,34 @@ def _run_search(args) -> int:
 def _run_residue(args) -> int:
     a, _ = _load_matrix(args.file)
     row = crt_residue_check(tuple(args.primes), a, _parse_vector(args.x))
-    if row is None:
-        print("PASS")
-        return 0
-    print(f"FAIL row={row + 1}")
-    return 1
+    return _verdict(row, lambda w: f"row={w + 1}")
 
 
 def _run_circuit(args) -> int:
     if args.action == "compile-eq":
         a, _ = _load_matrix(args.matrix)
         c = compile_eq_circuit(a, verify=not args.unchecked, cap=args.cap)
-        _emit(write_circuit(c), args.out)
-        return 0
-    if args.action == "compile-comp":
+    elif args.action == "compile-comp":
         a, _ = _load_matrix(args.matrix)
         c = compile_comp_circuit(
             a, args.n, args.m, args.r, verify=not args.unchecked, cap=args.cap
         )
-        _emit(write_circuit(c), args.out)
-        return 0
-    if args.action == "compile-valueset":
+    elif args.action == "compile-valueset":
         c = compile_value_set(_parse_vector(args.w), _parse_vector(args.s))
-        _emit(write_circuit(c), args.out)
-        return 0
-    if args.action == "exactify":
+    else:
         c = read_circuit(Path(args.file).read_text())
-        _emit(write_circuit(exactify_to_lt(c)), args.out)
-        return 0
-    if args.action == "eval":
-        c = read_circuit(Path(args.file).read_text())
-        value, values = eval_circuit(c, _parse_vector(args.input), want_trace=True)
-        if args.trace:
-            for gid in sorted(values):
-                print(f"gate {gid} = {values[gid]}")
-        print(value)
-        return 0
-    c = read_circuit(Path(args.file).read_text())
-    mismatch = exhaustive_check(c, args.ref, n=args.n, cap=args.cap)
-    if mismatch is None:
-        print("PASS")
-        return 0
-    print("FAIL assignment=" + " ".join(str(b) for b in mismatch))
-    return 1
+        if args.action == "eval":
+            value, values = eval_circuit(c, _parse_vector(args.input), want_trace=True)
+            if args.trace:
+                sys.stdout.write(format_trace(values))
+            print(value)
+            return 0
+        if args.action == "check":
+            mismatch = exhaustive_check(c, args.ref, n=args.n, cap=args.cap)
+            return _verdict(mismatch, lambda w: "assignment=" + _join(w))
+        c = exactify_to_lt(c)
+    _emit(write_circuit(c), args.out)
+    return 0
 
 
 _HANDLERS = {

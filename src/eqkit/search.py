@@ -2,7 +2,7 @@
 
 Entries are drawn from a counter-based SHA-256 stream keyed per entry by
 (seed, attempt, row, column), so a (seed, parameters) pair reproduces the
-same matrices on every platform and under any thread count.
+same matrices on every platform.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ def search_rmds(
     seed: int,
     max_attempts: int,
     cap: Optional[int] = None,
-    threads: int = 1,
 ) -> tuple[Optional[IntMatrix], int]:
     """First sampled rm x n matrix whose every m-row block is EQ_q.
 
@@ -82,7 +81,7 @@ def search_rmds(
         )
     for attempt in range(max_attempts):
         candidate = sample_matrix(r * m, n, weight, seed, attempt)
-        if is_rmds(candidate, m, q, cap=cap, threads=threads) is None:
+        if is_rmds(candidate, m, q, cap=cap) is None:
             return candidate, attempt + 1
     return None, max_attempts
 

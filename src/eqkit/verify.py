@@ -88,15 +88,13 @@ def is_eq_q(
     q: int,
     mode: str = "kernel",
     cap: Optional[int] = None,
-    threads: int = 1,
 ) -> Optional[Counterexample]:
     """Exhaustive EQ_q oracle; None means the property holds.
 
     kernel mode returns the first vector of {-(q-1),..,q-1}^n \\ {0} in
     enumeration order with A x = 0; injectivity mode returns the difference
     of the first colliding pair of encodings in {0,..,q-1}^n (earlier member
-    minus later member).  ``threads`` is accepted for callers and ignored:
-    the search runs in the calling thread.
+    minus later member).
     """
     alphabet = AlphabetSpec(q)
     if mode == "kernel":
@@ -261,7 +259,6 @@ def is_rmds(
     m: int,
     q: int,
     cap: Optional[int] = None,
-    threads: int = 1,
 ) -> Optional[RmdsWitness]:
     """None if every m-row submatrix is an EQ_q matrix.
 
@@ -270,15 +267,15 @@ def is_rmds(
     kernel vector splits into a colliding pair).  On failure returns the
     lexicographically first failing row set with its kernel witness.  The
     MDS rate rows/m may be rational (the 5-row residue fixture has rate
-    5/4), so any m <= rows is accepted.  ``threads`` is ignored, as in
-    is_eq_q.
+    5/4), so any m <= rows is accepted.  The cap is charged q^n encodings
+    per block.
     """
     if m < 1:
         raise ValueError("block row count m must be >= 1")
     if m > a.m:
         raise ValueError(f"block row count m={m} exceeds row count {a.m}")
-    alphabet = AlphabetSpec(q)
-    _check_cap(math.comb(a.m, m) * alphabet.kernel_size**a.n, cap)
+    AlphabetSpec(q)  # rejects q < 2
+    _check_cap(math.comb(a.m, m) * q**a.n, cap)
     for rows in itertools.combinations(range(a.m), m):
         block = IntMatrix.from_rows([a.entries[i] for i in rows])
         witness = _injectivity_search(block, q)

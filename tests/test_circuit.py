@@ -23,6 +23,7 @@ from eqkit import (
     write_circuit,
 )
 from eqkit import circuit as circuit_module
+from eqkit import verify
 
 
 def naive_eval(c, assignment):
@@ -372,8 +373,10 @@ def test_leading_difference_trichotomy():
 @pytest.mark.parametrize("chunk_bytes", [8, 1 << 12, 1 << 14])
 def test_exhaustive_check_matches_row_by_row(monkeypatch, chunk_bytes):
     # A small byte ceiling shrinks the chunks, so several chunks and their
-    # high-input scalars are exercised.
+    # high-input scalars are exercised; a small key grid sends the low-input
+    # tables through the broadcast adds of verify._keys.
     monkeypatch.setattr(circuit_module, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(verify, "_GRID_ROWS", 4)
     a, params = comp_matrix(3)
     comp = compile_comp_circuit(a, 3, params["m"], params["r"])
     cases = [(comp, "comp", dict(n=3)), (exactify_to_lt(comp), "comp", dict(n=3))]

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import FIXTURES
-from eqkit import read_circuit, read_matrix
+from eqkit import cli, read_circuit, read_matrix
 from eqkit.cli import main
 
 
@@ -125,6 +125,20 @@ def test_decode_rejects_mismatched_trace(capsys, tmp_path):
     lying = tmp_path / "lying.txt"
     lying.write_text("# trace m0=1 n0=1 k=1 q=2\n2 3\n1 1 1\n1 1 0\n")
     code, _, err = run(capsys, "decode", str(lying), "--z", "0 0")
+    assert code == 2
+    assert "does not match" in err
+
+
+def test_decode_checks_trace_shape_before_rebuilding(capsys, tmp_path, monkeypatch):
+    # A k=11 trace on a 1x1 matrix must be refused without building the
+    # 2048x11264 matrix the trace names.
+    def refuse(*args):
+        raise AssertionError("construct_eq should not run")
+
+    monkeypatch.setattr(cli, "construct_eq", refuse)
+    lying = tmp_path / "lying.txt"
+    lying.write_text("# trace m0=1 n0=1 k=11 q=2\n1 1\n1\n")
+    code, _, err = run(capsys, "decode", str(lying), "--z", "1")
     assert code == 2
     assert "does not match" in err
 
@@ -438,6 +452,28 @@ def test_circuit_check_reports_mismatch(capsys, tmp_path):
     )
     assert code == 1
     assert out.startswith("FAIL assignment=")
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["compile-eq", str(FIXTURES / "eq_k2.txt")], "eq_k2.circ"),
+        (
+            ["compile-comp", str(FIXTURES / "rmds_n3.txt"), "--n", "3", "--m", "2", "--r", "3"],
+            "comp_n3.circ",
+        ),
+        (["compile-valueset", "--w", "3 -1 2 0", "--s", "0 2"], "valueset.circ"),
+        (["exactify", str(FIXTURES / "eq_k2.circ")], "eq_k2_lt.circ"),
+        (["exactify", str(FIXTURES / "comp_n3.circ")], "comp_n3_lt.circ"),
+        (["exactify", str(FIXTURES / "valueset.circ")], "valueset_lt.circ"),
+    ],
+)
+def test_compiled_circuit_bytes(capsys, argv, golden):
+    # rmds_n3.txt is the hit of `search rmds --n 3 --m 2 --r 3 --q 3 --w 8
+    # --seed 0` (4 attempts).
+    code, out, _ = run(capsys, "circuit", *argv)
+    assert code == 0
+    assert out == (FIXTURES / golden).read_text()
 
 
 @pytest.mark.parametrize("inputs", ["1", "1 1", "1 2 2"])

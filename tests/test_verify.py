@@ -72,17 +72,6 @@ def test_mode_agreement_for_q3():
         assert (kernel is None) == (injective is None)
 
 
-def test_threads_do_not_change_the_witness():
-    rng = random.Random(4)
-    for _ in range(20):
-        a = _random_matrix(rng, 2, 6)
-        for mode in ("kernel", "injectivity"):
-            single = is_eq_q(a, 2, mode=mode, threads=1)
-            for threads in (2, 4):
-                multi = is_eq_q(a, 2, mode=mode, threads=threads)
-                assert (single.x if single else None) == (multi.x if multi else None)
-
-
 def _with_duplicate_or_zero_column(rng, a):
     rows = [list(r) for r in a.entries]
     j = rng.randrange(a.n)
@@ -192,6 +181,14 @@ def test_cap_exceeded_reports_work(eq_4x8):
         is_eq_q(eq_4x8, 2, mode="kernel", cap=100)
     assert info.value.required == 3**8
     assert info.value.allowed == 100
+
+
+def test_rmds_cap_charges_block_encodings(crt_5x8):
+    # Each m-row block is decided from its q^n encodings.
+    for m, q in ((4, 2), (2, 3)):
+        with pytest.raises(CapExceededError) as info:
+            is_rmds(crt_5x8, m, q, cap=100)
+        assert info.value.required == math.comb(crt_5x8.m, m) * q**crt_5x8.n
 
 
 def test_truncation_monotonicity(eq_4x8):
