@@ -14,6 +14,7 @@ EXACT gates on the longest input-to-output path; SUM gates are wiring.
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -96,18 +97,17 @@ class ThresholdCircuit:
         for gid, g in self._gates.items():
             for src, _ in g.fan_in:
                 consumers[src].append(gid)
-        ready = sorted(gid for gid, d in indegree.items() if d == 0)
+        ready = deque(sorted(gid for gid, d in indegree.items() if d == 0))
         order: list[int] = []
         while ready:
-            gid = ready.pop(0)
+            gid = ready.popleft()
             order.append(gid)
             inserted = []
             for nxt in consumers[gid]:
                 indegree[nxt] -= 1
                 if indegree[nxt] == 0:
                     inserted.append(nxt)
-            for nxt in sorted(inserted):
-                ready.append(nxt)
+            ready.extend(sorted(inserted))
         if len(order) != len(self._gates):
             raise ValueError("circuit contains a cycle")
         return tuple(order)
@@ -468,7 +468,8 @@ def write_circuit(c: ThresholdCircuit) -> str:
         parts = [str(gid), g.kind, str(g.bias)]
         parts.extend(f"{src}:{w}" for src, w in g.fan_in)
         lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # a final newline without copying the joined text
+    return "\n".join(lines)
 
 
 def read_circuit(text: str) -> ThresholdCircuit:

@@ -14,11 +14,14 @@ the i-th prime.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Optional
 
 from .matrix import ConstructionTrace, IntMatrix
 
 _DEFAULT_BASE = IntMatrix.from_rows([[1]])
+
+_Rows = tuple[tuple[int, ...], ...]
 
 
 def construct_eq(k: int, base: Optional[IntMatrix] = None) -> tuple[IntMatrix, ConstructionTrace]:
@@ -43,37 +46,29 @@ def construct_eq_q(
         base = _DEFAULT_BASE
     if base.weight_bound > 1:
         raise ValueError("base entries must lie in {-1,0,1}")
-    current = base
+    rows = base.entries
     for _ in range(k):
-        current = _expand(current, q)
+        rows = _expand(rows, q)
+    current = IntMatrix(rows)
     trace = ConstructionTrace(base.m, base.n, k, q)
     if (current.m, current.n) != (trace.rows, trace.cols):
         raise AssertionError("construction does not match the dimension law")
     return current, trace
 
 
-def _expand(a: IntMatrix, q: int) -> IntMatrix:
-    m, n = a.m, a.n
-    rows = []
-    for i in range(m):
-        row: list[int] = []
-        for _ in range(q):
-            row.extend(a.row(i))
-        row.extend(1 if j == i else 0 for j in range(m))
-        rows.append(row)
+def _expand(rows: _Rows, q: int) -> _Rows:
+    """One step of the block recursion on plain row tuples."""
+    m, n = len(rows), len(rows[0])
+    zeros = (0,) * n
+    out = []
+    for i, row in enumerate(rows):
+        out.append(row * q + (0,) * i + (1,) + (0,) * (m - i - 1))
+    negated = [tuple(map(operator.neg, row)) for row in rows]
     for t in range(1, q):
-        for i in range(m):
-            row = []
-            for s in range(q):
-                if s == t - 1:
-                    row.extend(a.row(i))
-                elif s == t:
-                    row.extend(-v for v in a.row(i))
-                else:
-                    row.extend([0] * n)
-            row.extend([0] * m)
-            rows.append(row)
-    return IntMatrix.from_rows(rows)
+        left, right = zeros * (t - 1), zeros * (q - t - 1) + (0,) * m
+        for row, neg in zip(rows, negated):
+            out.append(left + row + neg + right)
+    return tuple(out)
 
 
 def is_prime(p: int) -> bool:

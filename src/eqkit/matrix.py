@@ -8,6 +8,7 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,23 +43,30 @@ class IntMatrix:
     weight_bound: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.entries or not self.entries[0]:
-            raise ValueError("matrix needs at least one row and one column")
-        width = len(self.entries[0])
         rows = []
         bound = 0
         for row in self.entries:
-            if len(row) != width:
+            # Rows that are already tuples of exact ints are kept, not copied.
+            if type(row) is not tuple or set(map(type, row)) != {int}:
+                row = tuple(map(int, row))
+            if rows and len(row) != len(rows[0]):
                 raise ValueError("ragged rows")
-            clean = tuple(checked(int(v)) for v in row)
-            bound = max(bound, max(abs(v) for v in clean))
-            rows.append(clean)
+            if not row:
+                break  # an empty first row
+            high, low = max(row), min(row)
+            if high >= _LIMIT or low <= -_LIMIT:
+                for v in row:  # name the first entry out of budget
+                    checked(v)
+            bound = max(bound, high, -low)
+            rows.append(row)
+        if not rows:
+            raise ValueError("matrix needs at least one row and one column")
         object.__setattr__(self, "entries", tuple(rows))
         object.__setattr__(self, "weight_bound", bound)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
+        return cls(tuple(rows))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -158,12 +166,16 @@ def matvec(a: IntMatrix, x: Sequence[int]) -> tuple[int, ...]:
     """Exact product A*x with overflow-checked accumulation."""
     if len(x) != a.n:
         raise ValueError(f"vector length {len(x)} does not match {a.m}x{a.n} matrix")
+    x = tuple(map(int, x))
+    if a.weight_bound * sum(map(abs, x)) < _LIMIT:
+        # No product or partial sum can reach the budget: sum at C speed.
+        return tuple(sum(map(operator.mul, row, x)) for row in a.entries)
     out = []
     for row in a.entries:
         acc = 0
         for coeff, xi in zip(row, x):
             if coeff and xi:
-                acc = checked(acc + checked(coeff * int(xi)))
+                acc = checked(acc + checked(coeff * xi))
         out.append(acc)
     return tuple(out)
 
@@ -180,7 +192,8 @@ def write_matrix(a: IntMatrix, trace: Optional[ConstructionTrace] = None) -> str
         lines.append(f"# trace m0={trace.m0} n0={trace.n0} k={trace.k} q={trace.q}")
     lines.append(f"{a.m} {a.n}")
     lines.extend(" ".join(str(v) for v in row) for row in a.entries)
-    return "\n".join(lines) + "\n"
+    lines.append("")  # a final newline without copying the joined text
+    return "\n".join(lines)
 
 
 def read_matrix(text: str) -> tuple[IntMatrix, Optional[ConstructionTrace]]:
@@ -219,7 +232,7 @@ def read_matrix(text: str) -> tuple[IntMatrix, Optional[ConstructionTrace]]:
                 f"expected {n} entries per row, found {len(tokens)}"
             )
         try:
-            rows.append([int(t) for t in tokens])
+            rows.append(tuple(map(int, tokens)))
         except ValueError:
             raise MatrixFormatError(f"non-integer token in row {line!r}") from None
     return IntMatrix.from_rows(rows), trace

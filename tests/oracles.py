@@ -66,3 +66,33 @@ def binary_image(rows):
 def comp_window_value(diff, level):
     """Value of the difference window at a level: sum of 2^(j-level-1) * diff_j."""
     return sum(d << (j - level) for j, d in enumerate(diff[level:], start=0))
+
+
+def recursion_entry(prev, q, r, c):
+    """Entry (r, c) of one block-recursion step applied to the rows ``prev``.
+
+    Row block 0 is q copies of A followed by the identity; row block t >= 1
+    holds +A in column block t-1, -A in column block t, and zeros elsewhere.
+    """
+    m, n = len(prev), len(prev[0])
+    t, i = divmod(r, m)
+    if c >= q * n:
+        return 1 if t == 0 and c - q * n == i else 0
+    s, j = divmod(c, n)
+    if t == 0 or s == t - 1:
+        return prev[i][j]
+    if s == t:
+        return -prev[i][j]
+    return 0
+
+
+def block_recursion(base, q, k):
+    """Rows after k block-recursion steps from ``base``, one entry at a time."""
+    rows = [list(row) for row in base]
+    for _ in range(k):
+        m, n = len(rows), len(rows[0])
+        rows = [
+            [recursion_entry(rows, q, r, c) for c in range(q * n + m)]
+            for r in range(q * m)
+        ]
+    return rows

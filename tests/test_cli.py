@@ -1,7 +1,17 @@
+import random
+
 import pytest
 
 from conftest import FIXTURES
-from eqkit import cli, read_circuit, read_matrix
+from eqkit import (
+    IntMatrix,
+    cli,
+    construct_eq,
+    matvec,
+    read_circuit,
+    read_matrix,
+    write_matrix,
+)
 from eqkit.cli import main
 
 
@@ -141,6 +151,43 @@ def test_decode_checks_trace_shape_before_rebuilding(capsys, tmp_path, monkeypat
     code, _, err = run(capsys, "decode", str(lying), "--z", "1")
     assert code == 2
     assert "does not match" in err
+
+
+def _k7_file(tmp_path, edit=None):
+    a, trace = construct_eq(7)
+    rows = [list(row) for row in a.entries]
+    if edit:
+        edit(rows)
+    path = tmp_path / "eq7.txt"
+    path.write_text(write_matrix(IntMatrix.from_rows(rows), trace))
+    return path, a
+
+
+def test_decode_rejects_one_flipped_entry(capsys, tmp_path):
+    def flip(rows):
+        j = next(j for j, v in enumerate(rows[-1]) if v)
+        rows[-1][j] = -rows[-1][j]
+
+    path, _ = _k7_file(tmp_path, flip)
+    code, out, err = run(capsys, "decode", str(path), "--z", " ".join(["0"] * 128))
+    assert (code, out) == (2, "")
+    assert err == "error: matrix file does not match its trace\n"
+
+
+def test_decode_accepts_non_canonical_text(capsys, tmp_path):
+    path, a = _k7_file(tmp_path)
+    rng = random.Random(3)
+    x = [rng.randrange(2) for _ in range(a.n)]
+    z = " ".join(str(v) for v in matvec(a, x))
+    lines = path.read_text().splitlines()
+    messy = ["# written by hand", lines[0], "#", "  128   576 "]
+    for line in lines[2:]:
+        messy.append("  ".join("+1" if v == "1" else v for v in line.split()) + " ")
+    odd = tmp_path / "messy.txt"
+    odd.write_text("\n".join(messy) + "\n")
+    want = run(capsys, "decode", str(path), "--z", z)
+    assert want == (0, " ".join(map(str, x)) + "\n", "")
+    assert run(capsys, "decode", str(odd), "--z", z) == want
 
 
 def test_verify_cap_exceeded(capsys):

@@ -11,7 +11,7 @@ from eqkit import (
     is_eq_q,
     truncate_columns,
 )
-from oracles import brute_kernel
+from oracles import block_recursion, brute_kernel
 
 
 def test_zero_iterations_returns_base():
@@ -182,3 +182,13 @@ def test_truncation_preserves_eq_on_random_subsets(eq_4x8):
         keep = rng.sample(range(8), size)
         a = truncate_columns(eq_4x8, keep)
         assert is_eq_q(a, 2, mode="kernel") is None
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("base", [((1,),), ((1, -1, 0), (0, 1, 1))])
+def test_recursion_matches_entrywise_reference(q, base):
+    for k in range(5):
+        a, trace = construct_eq_q(k, q, IntMatrix.from_rows(base))
+        want = block_recursion(base, q, k)
+        assert a.entries == tuple(map(tuple, want))
+        assert (a.m, a.n) == (trace.rows, trace.cols)

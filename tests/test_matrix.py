@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import FIXTURES
 from eqkit import (
@@ -158,3 +161,138 @@ def test_counterexample_must_be_nonzero():
     with pytest.raises(ValueError):
         Counterexample((0, 0))
     assert Counterexample((0, -1)).x == (0, -1)
+
+
+TOP = 2**127 - 1
+
+
+def test_budget_edges_are_exact():
+    a = IntMatrix.from_rows([[TOP, -TOP], [0, 1]])
+    assert a.entries == ((TOP, -TOP), (0, 1))
+    assert a.weight_bound == TOP
+    for bad in (2**127, -(2**127)):
+        with pytest.raises(MagnitudeError, match=f"^\\|{bad}\\| exceeds"):
+            IntMatrix.from_rows([[0, bad]])
+
+
+def test_magnitude_error_names_first_entry_in_row_major_order():
+    # The row's max (2^200) comes after its first out-of-range entry.
+    with pytest.raises(MagnitudeError, match=f"^\\|{-(2**127)}\\|"):
+        IntMatrix.from_rows([[1, 2, 3], [-(2**127), 5, 2**200], [2**300, 0, 0]])
+    with pytest.raises(MagnitudeError, match=f"^\\|{2**128}\\|"):
+        IntMatrix.from_rows([[0, 2**128, -(2**129)]])
+
+
+def test_entries_become_exact_ints():
+    a = IntMatrix.from_rows([[True, False], [np.int64(3), np.int64(-4)]])
+    assert a.entries == ((1, 0), (3, -4))
+    assert all(type(v) is int for row in a.entries for v in row)
+    assert all(type(row) is tuple for row in a.entries)
+    assert type(a.weight_bound) is int and a.weight_bound == 4
+    b = IntMatrix((np.array([1, -2], dtype=np.int64), (v for v in (3, 4))))
+    assert b.entries == ((1, -2), (3, 4))
+    assert all(type(v) is int for row in b.entries for v in row)
+
+
+def test_exact_int_rows_are_kept():
+    row = (1, -1, 0)
+    assert IntMatrix((row, (0, 0, 1))).entries[0] is row
+
+
+def test_ragged_and_empty_rows_raise():
+    for rows in ([[1, 2], [3]], [[1], [2, 3]], [[1, 2], []], [(1, 2), iter([3])]):
+        with pytest.raises(ValueError, match="ragged"):
+            IntMatrix.from_rows(rows)
+    for rows in ([], [[]], [[], [1]]):
+        with pytest.raises(ValueError, match="at least one row"):
+            IntMatrix.from_rows(rows)
+
+
+def _checked_matvec(rows, x):
+    """Row-by-row accumulation that fails as soon as a term or partial sum
+    leaves the budget."""
+    out = []
+    for row in rows:
+        acc = 0
+        for coeff, xi in zip(row, x):
+            term = coeff * xi
+            if abs(term) >= 2**127 or abs(acc + term) >= 2**127:
+                return None
+            acc += term
+        out.append(acc)
+    return tuple(out)
+
+
+def test_matvec_near_the_budget():
+    big = 1 << 126
+    cases = [
+        ([[TOP]], (1,)),
+        ([[TOP]], (-1,)),
+        ([[big, -big]], (1, 1)),  # partial sums stay inside
+        ([[big, big, -big]], (1, 1, 1)),  # a partial sum reaches 2^127
+        ([[TOP, 1]], (1, 1)),
+        ([[3, -1], [big, 0]], (2, 5)),
+    ]
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        rows = [[rng.choice((-1, 1)) * rng.randint(0, big) for _ in range(n)]]
+        cases.append((rows, tuple(rng.randint(-3, 3) for _ in range(n))))
+    for rows, x in cases:
+        want = _checked_matvec(rows, x)
+        a = IntMatrix.from_rows(rows)
+        if want is None:
+            with pytest.raises(MagnitudeError):
+                matvec(a, x)
+        else:
+            assert matvec(a, x) == want
+
+
+def test_matvec_converts_vector_entries():
+    a = IntMatrix.from_rows([[2, -3]])
+    got = matvec(a, [np.int64(4), True])
+    assert got == (5,) and type(got[0]) is int
+
+
+_ENTRY = st.integers(min_value=-TOP, max_value=TOP)
+
+
+@st.composite
+def _matrices(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    row = st.lists(_ENTRY, min_size=n, max_size=n)
+    return IntMatrix.from_rows(draw(st.lists(row, min_size=m, max_size=m)))
+
+
+_TRACES = st.builds(
+    ConstructionTrace,
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(0, 5),
+    st.integers(2, 5),
+)
+
+
+@given(_matrices(), st.none() | _TRACES)
+def test_write_read_round_trip(a, trace):
+    text = write_matrix(a, trace)
+    b, got = read_matrix(text)
+    assert b == a and got == trace
+    assert all(type(v) is int for row in b.entries for v in row)
+    assert write_matrix(b, got) == text
+
+
+@given(_matrices(), st.none() | _TRACES, st.data())
+def test_read_tolerates_spacing_signs_and_comments(a, trace, data):
+    gap = st.sampled_from([" ", "  ", "\t", " \t "])
+    lines = ["# a comment line", "#"]
+    if trace is not None:
+        lines.append(write_matrix(a, trace).splitlines()[0])
+    lines.append(f"{a.m}{data.draw(gap)}{a.n}")
+    for row in a.entries:
+        signs = data.draw(st.lists(st.booleans(), min_size=a.n, max_size=a.n))
+        tokens = [f"+{v}" if v >= 0 and plus else str(v) for v, plus in zip(row, signs)]
+        lines.append(data.draw(gap) + data.draw(gap).join(tokens) + data.draw(gap))
+    b, got = read_matrix("\n".join(lines) + "\n")
+    assert b == a and got == trace
