@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .matrix import _INT64_SAFE, IntMatrix, checked
+from .matrix import _CHUNK_BYTES, _INT64_SAFE, IntMatrix, checked
 from .verify import _check_cap, _keys, is_eq_q, is_rmds
 
 INPUT = "INPUT"
@@ -32,7 +32,6 @@ _KINDS = (INPUT, LT, EXACT, SUM)
 # exhaustive_check streams chunks of at most 2**_MAX_CHUNK_BITS assignments,
 # fewer when a chunk's tables and gate arrays would pass _CHUNK_BYTES.
 _MAX_CHUNK_BITS = 16
-_CHUNK_BYTES = 32 << 20
 
 
 class CircuitFormatError(ValueError):

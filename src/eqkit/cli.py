@@ -225,17 +225,20 @@ def _run_bounds(args) -> int:
         alphabet_size=args.alphabet_size,
         k_iter=args.k_iter,
     )
-    for name in (
+    # Every value is formatted before the first line is printed, so a value
+    # too large to print leaves stdout empty.
+    names = (
         "siegel_norm_bound",
         "lemma2_rate_bound",
         "theorem3_mds_bound",
         "r_constr",
         "r_upper",
         "ratio",
-    ):
-        value = getattr(report, name)
-        if value is not None:
-            print(f"{name}={_fmt_number(value)}")
+    )
+    values = [(name, getattr(report, name)) for name in names]
+    sys.stdout.write(
+        "".join(f"{name}={_fmt_number(v)}\n" for name, v in values if v is not None)
+    )
     return 0
 
 

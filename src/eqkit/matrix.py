@@ -18,6 +18,8 @@ MAGNITUDE_BITS = 127
 _LIMIT = 1 << MAGNITUDE_BITS
 # Magnitude bound under which the vectorized paths may sum in int64.
 _INT64_SAFE = 1 << 62
+# Byte ceiling for the temporaries of one chunk of a vectorized path.
+_CHUNK_BYTES = 32 << 20
 
 
 class MagnitudeError(ArithmeticError):

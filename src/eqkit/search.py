@@ -33,24 +33,51 @@ def _entry_value(seed: int, attempt: int, row: int, col: int, span: int) -> int:
 
 
 def sample_matrix(rows: int, n: int, weight: int, seed: int, attempt: int) -> IntMatrix:
-    """rows x n matrix with entries i.i.d. uniform on {-weight,..,weight}."""
+    """rows x n matrix with entries i.i.d. uniform on {-weight,..,weight}.
+
+    Entry (i, j) is _entry_value(seed, attempt, i, j, 2*weight+1) - weight.
+    The first word of each entry's first digest is read here; only a
+    rejected one goes back to _entry_value for the rest of the stream.
+    """
     if rows < 1 or n < 1:
         raise ValueError("matrix dimensions must be positive")
     if weight < 0:
         raise ValueError("weight bound must be >= 0")
     span = 2 * weight + 1
-    return IntMatrix.from_rows(
-        [
-            [_entry_value(seed, attempt, i, j, span) - weight for j in range(n)]
-            for i in range(rows)
-        ]
-    )
+    rejection_bound = _WORD_MAX - (_WORD_MAX % span)
+    sha256, from_bytes = hashlib.sha256, int.from_bytes
+    suffixes = [f"{j}/0".encode() for j in range(n)]
+    matrix = []
+    for i in range(rows):
+        prefix = f"{seed}/{attempt}/{i}/".encode()
+        words = [from_bytes(sha256(prefix + s).digest()[:8], "big") for s in suffixes]
+        if max(words) >= rejection_bound:
+            # A value in [0, span) stands in for a rejected word: % span keeps it.
+            words = [
+                w if w < rejection_bound else _entry_value(seed, attempt, i, j, span)
+                for j, w in enumerate(words)
+            ]
+        matrix.append(tuple([w % span - weight for w in words]))
+    return IntMatrix(tuple(matrix))
 
 
 def theorem3_rate_cap(weight: int) -> int:
     """Largest MDS rate the alphabet {-weight,..,weight} can support: k^(k+1), k = 2W+1."""
     k = 2 * weight + 1
     return k ** (k + 1)
+
+
+def _exceeds_rate_cap(r: int, weight: int) -> bool:
+    """r > theorem3_rate_cap(weight), without building a huge cap.
+
+    For k = 2W+1 >= 3 the cap k^(k+1) is at least 2^((k+1)(bits(k)-1)), so
+    an r with no more bits never exceeds it; otherwise k+1 <= bits(r) and
+    the exact cap has fewer than 2 bits(r) bits.
+    """
+    k = 2 * weight + 1
+    if k >= 3 and r.bit_length() <= (k + 1) * (k.bit_length() - 1):
+        return False
+    return r > theorem3_rate_cap(weight)
 
 
 def search_rmds(
@@ -73,8 +100,8 @@ def search_rmds(
         raise ValueError("n, m and r must be positive")
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    rate_cap = theorem3_rate_cap(weight)
-    if r > rate_cap:
+    if _exceeds_rate_cap(r, weight):
+        rate_cap = theorem3_rate_cap(weight)
         raise ValueError(
             f"MDS rate {r} exceeds the alphabet-size bound {rate_cap} "
             f"for weight {weight}; no such matrix exists"

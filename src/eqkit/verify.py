@@ -12,20 +12,25 @@ key table over the low ceil(n/2) coordinates and a chunked scan of the high
 ones, about 2*(2q-1)^ceil(n/2) work; the cap is still charged (2q-1)^n or
 q^n.  Injectivity mode enumerates the q^n encodings only on failure, to
 report the first colliding pair.
+
+is_rmds decides all m-row blocks at once from the zero pattern of A x over
+one vector of each +-x pair, unless checking the blocks one by one costs
+fewer element operations; the cap is charged C(rows, m) q^n either way.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .matrix import (
+    _CHUNK_BYTES,
     _INT64_SAFE,
     AlphabetSpec,
     Counterexample,
@@ -54,10 +59,20 @@ class CapExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class RmdsWitness:
-    """Row block (0-based indices) whose submatrix admits a kernel vector."""
+    """Row block (0-based indices) whose submatrix admits a kernel vector.
+
+    The kernel witness, the first encoding-collision difference of the
+    block, is searched for on first use: a caller that needs only the
+    verdict or the rows never pays for it.
+    """
 
     rows: tuple[int, ...]
-    kernel: Counterexample
+    block: IntMatrix = field(repr=False)
+    q: int = field(repr=False)
+
+    @cached_property
+    def kernel(self) -> Counterexample:
+        return _injectivity_search(self.block, self.q)
 
 
 @dataclass(frozen=True)
@@ -262,13 +277,14 @@ def is_rmds(
 ) -> Optional[RmdsWitness]:
     """None if every m-row submatrix is an EQ_q matrix.
 
-    Blocks are checked through the encoding-collision route, which decides
-    the same property (a collision difference is a kernel vector and every
-    kernel vector splits into a colliding pair).  On failure returns the
-    lexicographically first failing row set with its kernel witness.  The
-    MDS rate rows/m may be rational (the 5-row residue fixture has rate
-    5/4), so any m <= rows is accepted.  The cap is charged q^n encodings
-    per block.
+    On failure returns the lexicographically first failing row set; its
+    kernel witness comes from the block's encoding-collision search (a
+    collision difference is a kernel vector and every kernel vector splits
+    into a colliding pair).  The row set comes from one zero-pattern product
+    (_zero_pattern_block) unless checking the blocks in order by that
+    search costs fewer element operations.  The MDS rate rows/m may be
+    rational (the 5-row residue fixture has rate 5/4), so any m <= rows is
+    accepted.  The cap is charged q^n encodings per block on both routes.
     """
     if m < 1:
         raise ValueError("block row count m must be >= 1")
@@ -276,12 +292,86 @@ def is_rmds(
         raise ValueError(f"block row count m={m} exceeds row count {a.m}")
     AlphabetSpec(q)  # rejects q < 2
     _check_cap(math.comb(a.m, m) * q**a.n, cap)
+    if _zero_pattern_pays(a.m, m, a.n, q):
+        rows = _zero_pattern_block(a, m, q)
+        if rows is None:
+            return None
+        return RmdsWitness(rows, IntMatrix.from_rows(a.entries[i] for i in rows), q)
     for rows in itertools.combinations(range(a.m), m):
-        block = IntMatrix.from_rows([a.entries[i] for i in rows])
-        witness = _injectivity_search(block, q)
-        if witness is not None:
-            return RmdsWitness(rows, witness)
+        block = IntMatrix.from_rows(a.entries[i] for i in rows)
+        if _injectivity_search(block, q) is not None:
+            return RmdsWitness(rows, block, q)
     return None
+
+
+def _zero_pattern_pays(rows: int, m: int, n: int, q: int) -> bool:
+    """Whether one zero-pattern product costs no more than the block loop.
+
+    Counted in element operations: the product costs one add per row for
+    each of the ((2q-1)^n - 1)/2 half-box vectors, and the loop sorts q^n
+    keys for each of the C(rows, m) blocks.
+    """
+    keys = q**n
+    half_box = ((2 * q - 1) ** n - 1) // 2
+    return rows * half_box <= math.comb(rows, m) * keys * keys.bit_length()
+
+
+def _zero_pattern_block(a: IntMatrix, m: int, q: int) -> Optional[tuple[int, ...]]:
+    """Lexicographically first m-row set sharing a nonzero kernel vector, or None.
+
+    Row set S fails exactly when some nonzero x in {-(q-1),..,q-1}^n has
+    a_i.x = 0 for every i in S.  Every failing S contains the first m zero
+    rows of some such x, and those rows fail too, so the first failing set
+    is the smallest such "first m zero rows".
+    """
+    sets = [_first_set(zeros, m) for zeros in _half_box_zeros(a, q)]
+    return min((rows for rows in sets if rows is not None), default=None)
+
+
+def _first_set(zeros: np.ndarray, m: int) -> Optional[tuple[int, ...]]:
+    """Smallest "first m zero rows" over the columns of ``zeros`` with m or more."""
+    hits = np.flatnonzero(zeros.sum(axis=0) >= m)
+    if not hits.size:
+        return None
+    # A stable sort of each hit column puts its zero rows first, in order.
+    sets = np.argsort(~zeros[:, hits], axis=0, kind="stable")[:m]
+    return tuple(sets[:, np.lexsort(sets[::-1])[0]].tolist())
+
+
+def _half_box_zeros(a: IntMatrix, q: int):
+    """[A x = 0] for one x of each pair +-x != 0 in {-(q-1),..,q-1}^n, in column chunks.
+
+    A x splits as A_L x_L + A_H x_H over the low ceil(n/2) coordinates (fewer
+    if their grid would pass _GRID_ROWS or a chunk) and the rest: the low
+    part is one product with a cached grid, and each chunk of high counters
+    adds its A_H x_H to it, one add per row and vector.  The high counters
+    run from x_H = 0 up, which meets one x of each pair +-x with x_H != 0;
+    at x_H = 0 the low counters up to the zero vector's are masked out.  int64
+    when every |a_i.x| is below _INT64_SAFE, else exact object arrays.  A
+    chunk stays under _CHUNK_BYTES unless a single low block passes it.
+    """
+    n, base, values = a.n, 2 * q - 1, range(1 - q, q)
+    fits = a.weight_bound * (q - 1) * n < _INT64_SAFE
+    coef = np.array(a.entries, dtype=np.int64 if fits else object)
+    # Per vector: its zero count, hit index and sort key; per row and vector:
+    # the sum or a sort index (8 bytes), this chunk's and the last chunk's
+    # zero flags and a negated copy, and on the object path a Python int of
+    # up to 128 bits per sum.
+    vector_bytes = 24 + a.m * (11 if fits else 11 + 44)
+    low = (n + 1) // 2
+    while low and base**low > min(_GRID_ROWS, _CHUNK_BYTES // vector_bytes):
+        low -= 1
+    keys = coef[:, :low] @ _digit_grid(low, values).T
+    high = n - low
+    step = max(1, _CHUNK_BYTES // (base**low * vector_bytes))
+    for start in range((base**high - 1) // 2, base**high, step):
+        counters = np.arange(start, min(start + step, base**high))
+        x_high = counters[:, None] // base ** np.arange(high) % base + values.start
+        offsets = coef[:, low:] @ x_high.T
+        zeros = (keys[:, None, :] + offsets[:, :, None]).reshape(a.m, -1) == 0
+        if start == (base**high - 1) // 2:
+            zeros[:, : (base**low + 1) // 2] = False
+        yield zeros
 
 
 def bounds_report(

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -228,6 +229,19 @@ def test_bounds_output(capsys):
     assert lines["r_constr"] == "2"
     assert lines["r_upper"] == "2.5"
     assert lines["ratio"] == "1.25"
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 6606,
+    reason="2000^2001 is within this Python's int-to-str digit limit",
+)
+def test_bounds_unprintable_value_prints_nothing(capsys):
+    # 2000^2001 has 6,606 digits, past the int-to-str limit: every value is
+    # formatted before any is printed, so stdout stays empty.
+    code, out, err = run(capsys, "bounds", "--n", "8", "--alphabet-size", "2000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_decode_worked_example(capsys):

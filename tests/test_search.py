@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -11,6 +12,7 @@ from eqkit import (
     suggest_params,
     theorem3_rate_cap,
 )
+from eqkit import search
 
 
 def test_sampler_is_deterministic():
@@ -101,3 +103,57 @@ def test_suggest_params_examples():
     assert suggest_params(16, 1, 3) == (4, 4)
     with pytest.raises(ValueError):
         suggest_params(1, 1, 3)
+
+
+def _documented_entry(seed, attempt, row, col, span):
+    """The sampler stream as documented: SHA-256 words, first in-range one wins."""
+    bound = 2**64 - 2**64 % span
+    ctr = 0
+    while True:
+        digest = hashlib.sha256(f"{seed}/{attempt}/{row}/{col}/{ctr}".encode()).digest()
+        for off in (0, 8, 16, 24):
+            word = int.from_bytes(digest[off : off + 8], "big")
+            if word < bound:
+                return word % span, ctr
+        ctr += 1
+
+
+@pytest.mark.parametrize("weight", [0, 1, 8, 2**62])
+def test_sampler_matches_documented_stream(weight):
+    # At 2^62 the span is 2^63 + 1, so about half of all words are rejected
+    # and some entries need a second digest (ctr > 0).
+    span = 2 * weight + 1
+    counters = []
+    for attempt in range(3):
+        a = sample_matrix(6, 5, weight, seed=9, attempt=attempt)
+        for i, row in enumerate(a.entries):
+            for j, value in enumerate(row):
+                want, ctr = _documented_entry(9, attempt, i, j, span)
+                assert value == want - weight
+                assert type(value) is int
+                counters.append(ctr)
+    if weight == 2**62:
+        assert max(counters) > 0
+
+
+def test_rate_cap_is_compared_by_bit_length(monkeypatch):
+    # (2w+1)^(2w+2) has millions of digits at w = 4*10^5: it must not be built.
+    def refuse(weight):
+        raise AssertionError("the exact rate cap was built")
+
+    monkeypatch.setattr(search, "theorem3_rate_cap", refuse)
+    found, attempts = search_rmds(4, 2, 4, 3, 4 * 10**5, seed=0, max_attempts=1)
+    assert attempts == 1
+
+
+def test_rate_cap_comparison_is_exact_at_the_edge():
+    for weight in range(6):
+        cap = theorem3_rate_cap(weight)
+        for r in {1, cap - 1, cap, cap + 1, 2 ** (cap.bit_length() - 1), 2 ** cap.bit_length()}:
+            if r >= 1:
+                assert search._exceeds_rate_cap(r, weight) == (r > cap), (weight, r)
+    with pytest.raises(ValueError) as info:
+        search_rmds(4, 2, 82, 3, 1, seed=0, max_attempts=10)
+    assert str(info.value) == (
+        "MDS rate 82 exceeds the alphabet-size bound 81 for weight 1; no such matrix exists"
+    )

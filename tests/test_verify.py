@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -18,6 +19,7 @@ from eqkit import (
     is_mds,
     is_rmds,
     matvec,
+    sample_matrix,
     truncate_columns,
 )
 from eqkit import verify
@@ -335,3 +337,115 @@ def test_residue_check_reports_failing_row(crt_4x8):
     rows[2][0] += 1  # breaks the congruence structure of row 2 only
     broken = IntMatrix.from_rows(rows)
     assert crt_residue_check((3, 5, 7, 11), broken, (-2, 1, 0, 0, 0, 0, 0, 0)) == 2
+
+
+# is_rmds: the zero-pattern product and the block loop, each forced.
+ROUTES = {"product": True, "blocks": False}
+
+
+def _expected_rmds(rows, m, q):
+    """First failing row set in combinations order and its collision witness."""
+    for block in itertools.combinations(range(len(rows)), m):
+        sub = [rows[i] for i in block]
+        if brute_kernel(sub, q) is not None:
+            return block, brute_collision(sub, q)
+    return None
+
+
+def _rmds_result(a, m, q):
+    got = is_rmds(a, m, q)
+    return None if got is None else (got.rows, got.kernel.x)
+
+
+def _with_repeats(rng, rows):
+    """Copy or zero one row, and copy or zero one column."""
+    rows = [list(r) for r in rows]
+    i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+    rows[i] = list(rows[j]) if rng.random() < 0.5 else [0] * len(rows[0])
+    c, d = rng.randrange(len(rows[0])), rng.randrange(len(rows[0]))
+    for r in rows:
+        r[c] = r[d] if rng.random() < 0.5 else 0
+    return rows
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_rmds_routes_match_brute_force(monkeypatch, route, q, m):
+    monkeypatch.setattr(verify, "_zero_pattern_pays", lambda *args: ROUTES[route])
+    rng = random.Random(100 * q + 10 * m + len(route))
+    for trial in range(24):
+        n = trial % 5 + 1
+        if q == 3 and n == 5 and trial % 2:
+            continue  # keep the pure-Python reference quick
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(m, m + 2))]
+        if trial % 3 == 0:
+            rows = _with_repeats(rng, rows)
+        a = IntMatrix.from_rows(rows)
+        assert _rmds_result(a, m, q) == _expected_rmds(a.entries, m, q)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_rmds_object_path_near_2_to_62(monkeypatch, route):
+    monkeypatch.setattr(verify, "_zero_pattern_pays", lambda *args: ROUTES[route])
+    big = 1 << 62
+    rng = random.Random(62)
+    cases = [[[big, 3 * big + 1, 9 * big + 5]], [[big, big, big, big], [big, -big, 1, 0]]]
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        cases.append(
+            [[rng.choice([big, -big, big - 1, 0, rng.randint(-2, 2)]) for _ in range(n)]
+             for _ in range(rng.randint(2, 4))]
+        )
+    for rows in cases:
+        a = IntMatrix.from_rows(rows)
+        for q in (2, 3):
+            # Some |a_i.x| can reach 2^62, so the product must be exact.
+            assert a.weight_bound * (q - 1) * a.n >= verify._INT64_SAFE
+            for m in range(1, min(a.m, 2) + 1):
+                assert _rmds_result(a, m, q) == _expected_rmds(a.entries, m, q)
+
+
+@pytest.mark.parametrize("chunk_bytes, grid_rows", [(1, 1), (200, 3), (1000, 30)])
+def test_rmds_product_in_small_chunks(monkeypatch, chunk_bytes, grid_rows):
+    # Chunks of one to a few vectors and low grids of a few rows.
+    monkeypatch.setattr(verify, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(verify, "_GRID_ROWS", grid_rows)
+    monkeypatch.setattr(verify, "_zero_pattern_pays", lambda *args: True)
+    rng = random.Random(chunk_bytes)
+    for trial in range(30):
+        q, n = (2, 5) if trial % 2 else (3, 4)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(2, 4))]
+        if trial % 3 == 0:
+            rows = _with_repeats(rng, rows)
+        a = IntMatrix.from_rows(rows)
+        for m in (1, 2):
+            assert _rmds_result(a, m, q) == _expected_rmds(a.entries, m, q)
+
+
+def test_rmds_routes_agree_on_sampled_candidates(monkeypatch):
+    for attempt in range(150):
+        a = sample_matrix(8, 4, 8, 3, attempt)
+        results = []
+        for product in ROUTES.values():
+            monkeypatch.setattr(verify, "_zero_pattern_pays", lambda *args: product)
+            results.append(_rmds_result(a, 2, 3))
+        assert results[0] == results[1]
+
+
+def test_rmds_route_follows_element_counts():
+    # The search shape: 8 * 312 adds against 28 sorts of 81 keys.
+    assert verify._zero_pattern_pays(8, 2, 4, 3)
+    # m = 1 and n = 20: 3^20 / 2 vectors per row against 2^20 keys per row.
+    assert not verify._zero_pattern_pays(4, 1, 20, 2)
+
+
+def test_rmds_product_memory_is_chunked(monkeypatch):
+    # 39,062 half-box vectors over 8 rows take about 3 MB at once; the zero
+    # matrix makes every vector a hit, so its rows are sorted too.
+    monkeypatch.setattr(verify, "_CHUNK_BYTES", 1 << 18)
+    assert verify._zero_pattern_pays(8, 2, 7, 3)
+    for a in (sample_matrix(8, 7, 8, 0, 0), IntMatrix.from_rows([[0] * 7] * 8)):
+        verify._digit_grid.cache_clear()
+        _, peak = _peak_bytes(lambda: verify._zero_pattern_block(a, 2, 3))
+        assert peak < 1 << 19
