@@ -23,6 +23,7 @@ from .construct import (
     choose_primes,
     construct_eq,
     construct_eq_q,
+    construction_trace,
     is_prime,
     truncate_columns,
 )

@@ -13,6 +13,7 @@ EXACT gates on the longest input-to-output path; SUM gates are wiring.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .matrix import _CHUNK_BYTES, _INT64_SAFE, IntMatrix, checked
+from .matrix import _CHUNK_BYTES, _INT64_SAFE, _LIMIT, IntMatrix, checked
 from .verify import _check_cap, _keys, is_eq_q, is_rmds
 
 INPUT = "INPUT"
@@ -175,22 +176,10 @@ def eval_circuit(
     return (result, values) if want_trace else result
 
 
-def _fits_int64(c: ThresholdCircuit) -> bool:
-    """Whether every reachable gate value stays within the vectorized budget."""
-    reach = dict.fromkeys(c.inputs, 1)
-    for g in c.ordered_gates:
-        magnitude = sum(abs(w) * reach[src] for src, w in g.fan_in) + abs(g.bias)
-        if magnitude >= _INT64_SAFE:
-            return False
-        reach[g.gid] = magnitude if g.kind == SUM else 1
-    return True
-
-
 def _reference_form(reference, n_inputs, n, weights, values):
     """The named reference as a linear form: 1 iff test(sum(coef[t] * x_t)).
 
-    Validates the reference arguments.  test takes a Python int or an int64
-    array.
+    Validates the reference arguments.  test takes an int64 or object array.
     """
     if reference in ("eq", "comp"):
         if n is None or n_inputs != 2 * n:
@@ -209,16 +198,12 @@ def _reference_form(reference, n_inputs, n, weights, values):
             raise ValueError("valueset reference needs weights and values")
         if len(weights) != n_inputs:
             raise ValueError("valueset weights must match the input count")
-        accepted = frozenset(int(v) for v in values)
-        # Sums on the int64 path stay below _INT64_SAFE, so larger values never match.
-        small = np.array(
-            sorted(v for v in accepted if abs(v) < _INT64_SAFE), dtype=np.int64
+        exact = np.array(sorted(set(int(v) for v in values)), dtype=object)
+        # Sums on the int64 route stay below _INT64_SAFE, so larger values never match.
+        small = exact[abs(exact) < _INT64_SAFE].astype(np.int64)
+        return [int(w) for w in weights], lambda s: np.isin(
+            s, exact if s.dtype == object else small
         )
-
-        def test(s):
-            return np.isin(s, small) if isinstance(s, np.ndarray) else s in accepted
-
-        return [int(w) for w in weights], test
     raise ValueError(f"unknown reference {reference!r}")
 
 
@@ -235,26 +220,33 @@ def exhaustive_check(
     reference is one of "eq", "comp" (2n inputs, x then y, bit i weighing
     2**i), "parity" (n inputs), or "valueset" (weights/values).  Returns
     None on agreement, else the first mismatching assignment, input 0 being
-    the most significant bit of the enumeration counter.  Circuits whose
-    values fit int64 are streamed in chunks of bounded size; the rest are
-    checked one assignment at a time in exact arithmetic.
+    the most significant bit of the enumeration counter.  Every circuit is
+    streamed in bounded chunks, on exact object arrays past int64; a value
+    leaving the 2**127 budget raises MagnitudeError at the same assignment
+    as a row-by-row eval_circuit scan.
     """
     n_inputs = len(c.inputs)
     _check_cap(1 << n_inputs, cap)
     coef, test = _reference_form(reference, n_inputs, n, weights, values)
-    if _fits_int64(c) and sum(abs(w) for w in coef) < _INT64_SAFE:
-        return _stream_check(c, coef, test)
-    return _exhaustive_check_py(c, coef, test)
+    return _stream_check(c, coef, test)
+
+
+def _assignment(row: int, k: int) -> tuple[int, ...]:
+    """Bits of row, input 0 first."""
+    return tuple((row >> (k - 1 - t)) & 1 for t in range(k))
 
 
 def _stream_check(c: ThresholdCircuit, coef: Sequence[int], test):
-    """int64 form of exhaustive_check, in aligned chunks of 2**L assignments.
+    """exhaustive_check in aligned chunks of 2**L assignments.
 
     In chunk h the first k - L inputs are the bits of h, and the last L
     inputs run through the same 2**L columns in every chunk.  So each gate's
     input fan-in, and the reference form, splits into a table over the low
     inputs, built once, plus one scalar per chunk from the high inputs.
+    Rows where a gate with reach past 2**127 may overflow are replayed by
+    eval_circuit up to the chunk's first mismatch, to raise where it would.
     """
+    source = c
     if c.output in c.inputs:
         # An input wired straight to the output gets a SUM gate to carry it.
         top = max(c.gates) + 1
@@ -262,18 +254,29 @@ def _stream_check(c: ThresholdCircuit, coef: Sequence[int], test):
         c = ThresholdCircuit([*c.gates.values(), wire], c.inputs, top)
     k = len(c.inputs)
     gates = c.ordered_gates
+    # Per gate, a bound on sum(|w_i * v_i|) + |bias| over every assignment.
+    reach, bounds = dict.fromkeys(c.inputs, 1), []
+    for g in gates:
+        bounds.append(sum(abs(w) * reach[src] for src, w in g.fan_in) + abs(g.bias))
+        reach[g.gid] = bounds[-1] if g.kind == SUM else 1
+    fits = max(bounds) < _INT64_SAFE and sum(map(abs, coef)) < _INT64_SAFE
+    dtype = np.int64 if fits else object
+    risky = [t for t, bound in enumerate(bounds) if bound >= _LIMIT]
     position = {gid: t for t, gid in enumerate(c.inputs)}
-    # One row of input coefficients per gate, then the reference.
-    forms = np.zeros((len(gates) + 1, k), dtype=np.int64)
-    for row, g in enumerate(gates):
-        for src, w in g.fan_in:
+    # One row of input coefficients per gate, the reference, then |w| rows
+    # that bound the partial sums of the risky gates.
+    fans = [g.fan_in for g in gates] + [list(zip(c.inputs, coef))]
+    fans += [[(s, abs(w)) for s, w in gates[t].fan_in] for t in risky]
+    forms = np.zeros((len(fans), k), dtype=dtype)
+    for row, fan in enumerate(fans):
+        for src, w in fan:
             if src in position:
                 forms[row, position[src]] += w
-    forms[-1] = coef
     feeds = [[(s, w) for s, w in g.fan_in if s not in position] for g in gates]
-    # Per row: a table and a value array per gate, the reference table, and
-    # the reference sum and test.
-    row_bytes = 8 * (2 * len(gates) + 3)
+    ref = len(gates)  # the row of the reference form
+    # Per row: a table and a value array per form, and the reference test;
+    # an object entry is a pointer plus an int of up to 128 bits.
+    row_bytes = (8 if fits else 8 + sys.getsizeof(_LIMIT)) * (2 * len(forms) + 1)
     bits = min(k, _MAX_CHUNK_BITS)
     while bits and row_bytes << bits > _CHUNK_BYTES:
         bits -= 1
@@ -281,7 +284,11 @@ def _stream_check(c: ThresholdCircuit, coef: Sequence[int], test):
     # Input 0 is the top counter bit, so the low inputs run last to first.
     # The copies free the 2-D arrays _keys builds; measured, the per-chunk
     # temporaries then reuse heap pages (960, not 4,300, page faults at k=20).
-    tables = [_keys(f[low:][::-1], range(2)).copy() if f[low:].any() else 0 for f in forms]
+    # A form without low inputs gets a single zero, which broadcasts.
+    tables = [
+        _keys(f[low:][::-1], range(2)).copy() if f[low:].any() else np.zeros(1, dtype)
+        for f in forms
+    ]
     high = forms[:, :low]
     shifts = np.arange(low - 1, -1, -1, dtype=np.int64)
     for h in range(1 << low):
@@ -290,28 +297,25 @@ def _stream_check(c: ThresholdCircuit, coef: Sequence[int], test):
         for g, feed, table, offset in zip(gates, feeds, tables, offsets):
             acc = table
             for src, w in feed:
-                acc = acc + w * values[src]
+                # dtype keeps a bit array times a weight past int64 exact.
+                acc = acc + np.multiply(w, values[src], dtype=dtype)
             if g.kind == LT:
                 values[g.gid] = acc >= g.bias - offset
             elif g.kind == EXACT:
                 values[g.gid] = acc == g.bias - offset
             else:
                 values[g.gid] = acc + (g.bias + offset)
-        bad = np.flatnonzero(values[c.output] != test(tables[-1] + offsets[-1]))
+        bad = np.flatnonzero(values[c.output] != test(tables[ref] + offsets[ref]))
+        over = np.zeros(1 << bits if risky else 0, dtype=bool)
+        for t, table, offset in zip(risky, tables[ref + 1 :], offsets[ref + 1 :]):
+            mag = table + (offset + abs(gates[t].bias))
+            for src, w in feeds[t]:
+                mag = mag + np.abs(np.multiply(w, values[src], dtype=dtype))
+            over |= mag >= _LIMIT
+        for row in np.flatnonzero(over[: bad[0] + 1 if bad.size else None]).tolist():
+            eval_circuit(source, _assignment(h << bits | row, k))  # may raise
         if bad.size:
-            row = (h << bits) | int(bad[0])
-            return tuple((row >> (k - 1 - t)) & 1 for t in range(k))
-    return None
-
-
-def _exhaustive_check_py(c: ThresholdCircuit, coef: Sequence[int], test):
-    """Exact-arithmetic path for circuits or reference forms that outgrow int64."""
-    n_inputs = len(c.inputs)
-    for counter in range(1 << n_inputs):
-        bits = tuple((counter >> (n_inputs - 1 - t)) & 1 for t in range(n_inputs))
-        want = 1 if test(sum(w * b for w, b in zip(coef, bits))) else 0
-        if eval_circuit(c, bits) != want:
-            return bits
+            return _assignment(h << bits | int(bad[0]), k)
     return None
 
 
@@ -432,19 +436,15 @@ def exactify_to_lt(c: ThresholdCircuit) -> ThresholdCircuit:
         for src, w in g.fan_in:
             if src in split:
                 plus, minus = split[src]
-                fan.append((plus, w))
-                fan.append((minus, w))
+                fan += [(plus, w), (minus, w)]
                 bias = bias - w if g.kind == SUM else bias + w
             else:
                 fan.append((src, w))
         if g.kind == EXACT:
             gates.append(Gate(gid, LT, tuple(fan), bias))
-            minus_gate = Gate(
-                next_id, LT, tuple((s, -w) for s, w in fan), -bias
-            )
+            gates.append(Gate(next_id, LT, tuple((s, -w) for s, w in fan), -bias))
+            split[gid] = (gid, next_id)
             next_id += 1
-            gates.append(minus_gate)
-            split[gid] = (gid, minus_gate.gid)
         else:
             gates.append(Gate(gid, g.kind, tuple(fan), bias))
     output = c.output
@@ -489,7 +489,6 @@ def read_circuit(text: str) -> ThresholdCircuit:
             raise CircuitFormatError(f"malformed gate line {line!r}")
         try:
             gid = int(tokens[0])
-            kind = tokens[1]
             bias = int(tokens[2])
             fan = []
             for tok in tokens[3:]:
@@ -497,7 +496,7 @@ def read_circuit(text: str) -> ThresholdCircuit:
                 fan.append((int(src), int(w)))
         except ValueError:
             raise CircuitFormatError(f"malformed gate line {line!r}") from None
-        gates.append(Gate(gid, kind, tuple(fan), bias))
+        gates.append(Gate(gid, tokens[1], tuple(fan), bias))
     return ThresholdCircuit(gates, inputs, output)
 
 

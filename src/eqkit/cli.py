@@ -23,7 +23,13 @@ from .circuit import (
     read_circuit,
     write_circuit,
 )
-from .construct import build_crt, choose_primes, construct_eq, construct_eq_q
+from .construct import (
+    build_crt,
+    choose_primes,
+    construct_eq,
+    construct_eq_q,
+    construction_trace,
+)
 from .decode import NotInImageError, decode, encode
 from .matrix import (
     MagnitudeError,
@@ -34,6 +40,7 @@ from .matrix import (
 from .search import search_rmds
 from .verify import (
     CapExceededError,
+    _check_cap,
     bounds_report,
     crt_residue_check,
     is_eq_q,
@@ -194,10 +201,11 @@ def _run_construct(args) -> int:
         _emit(write_matrix(build_crt(args.n, primes)), args.out)
         return 0
     base = _load_matrix(args.base)[0] if args.base else None
-    if args.family == "eq":
-        a, trace = construct_eq(args.k, base)
-    else:
-        a, trace = construct_eq_q(args.k, args.q, base)
+    q = 2 if args.family == "eq" else args.q
+    # The matrix's entries are charged against the cap before any is built.
+    trace = construction_trace(args.k, q, base)
+    _check_cap(trace.rows * trace.cols, args.cap)
+    a, trace = construct_eq_q(args.k, q, base)
     _emit(write_matrix(a, trace), args.out)
     return 0
 

@@ -38,6 +38,20 @@ def construct_eq_q(
     {-1,0,1}; the EQ_q property of a non-default base is the caller's
     responsibility (the verification module offers the oracle).
     """
+    trace = construction_trace(k, q, base)
+    rows = (_DEFAULT_BASE if base is None else base).entries
+    for _ in range(k):
+        rows = _expand(rows, q)
+    current = IntMatrix(rows)
+    if (current.m, current.n) != (trace.rows, trace.cols):
+        raise AssertionError("construction does not match the dimension law")
+    return current, trace
+
+
+def construction_trace(
+    k: int, q: int, base: Optional[IntMatrix] = None
+) -> ConstructionTrace:
+    """The trace of construct_eq_q(k, q, base), validated, without building it."""
     if q < 2:
         raise ValueError("arity q must be at least 2")
     if k < 0:
@@ -46,14 +60,7 @@ def construct_eq_q(
         base = _DEFAULT_BASE
     if base.weight_bound > 1:
         raise ValueError("base entries must lie in {-1,0,1}")
-    rows = base.entries
-    for _ in range(k):
-        rows = _expand(rows, q)
-    current = IntMatrix(rows)
-    trace = ConstructionTrace(base.m, base.n, k, q)
-    if (current.m, current.n) != (trace.rows, trace.cols):
-        raise AssertionError("construction does not match the dimension law")
-    return current, trace
+    return ConstructionTrace(base.m, base.n, k, q)
 
 
 def _expand(rows: _Rows, q: int) -> _Rows:

@@ -100,6 +100,8 @@ def search_rmds(
         raise ValueError("n, m and r must be positive")
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
+    if weight < 0:
+        raise ValueError("weight bound must be >= 0")
     if _exceeds_rate_cap(r, weight):
         rate_cap = theorem3_rate_cap(weight)
         raise ValueError(

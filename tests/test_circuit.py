@@ -3,12 +3,15 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import COMP_SEARCH
 from eqkit import (
     CapExceededError,
     Gate,
     IntMatrix,
+    MagnitudeError,
     ThresholdCircuit,
     build_crt,
     choose_primes,
@@ -71,6 +74,31 @@ def first_mismatch_by_rows(c, reference, **kw):
         if eval_circuit(c, bits) != reference_value(reference, bits, **kw):
             return bits
     return None
+
+
+def outcome(check, c, reference, **kw):
+    """The check's first mismatch, or the text of the MagnitudeError it raises."""
+    try:
+        return check(c, reference, **kw)
+    except MagnitudeError as exc:
+        return f"MagnitudeError: {exc}"
+
+
+B = 1 << 126
+OVERFLOW = f"MagnitudeError: |{1 << 127}| exceeds the 2^127 budget"
+
+
+def overflow_circuit(out_bias=-B - 1, gate=f"4 SUM 0 1:{B} 2:{B} 3:{-B}"):
+    """Three inputs, a SUM gate whose fan-in prefix can pass 2**127, an LT output.
+
+    With the default gate, eval_circuit first raises at (1, 1, 0), where
+    B + B leaves the budget; the output is 1 on every earlier row unless
+    out_bias is raised above -B.
+    """
+    return read_circuit(
+        "inputs 1 2 3\noutput 5\n1 INPUT 0\n2 INPUT 0\n3 INPUT 0\n"
+        f"{gate}\n5 LT {out_bias} 4:1\n"
+    )
 
 
 def perturb(c, rng):
@@ -313,6 +341,48 @@ def test_circuit_serialization_round_trip(eq_4x8):
         assert write_circuit(back) == text
 
 
+_BUDGET = st.integers(-(1 << 127) + 1, (1 << 127) - 1) | st.integers(-3, 3)
+
+
+@st.composite
+def _circuits(draw):
+    """A random DAG of LT, EXACT and SUM gates; ids, gate order and output vary."""
+    k = draw(st.integers(1, 4))
+    ids = draw(st.permutations(range(1, k + draw(st.integers(1, 6)) + 1)))
+    gates = [Gate(gid, "INPUT") for gid in ids[:k]]
+    for t, gid in enumerate(ids[k:], k):
+        fan = draw(st.lists(st.tuples(st.sampled_from(ids[:t]), _BUDGET), max_size=4))
+        kind = draw(st.sampled_from(["LT", "EXACT", "SUM"]))
+        gates.append(Gate(gid, kind, tuple(fan), draw(_BUDGET)))
+    output = draw(st.sampled_from(ids))
+    return ThresholdCircuit(draw(st.permutations(gates)), ids[:k], output)
+
+
+def _evaluated(c, bits):
+    try:
+        return eval_circuit(c, bits)
+    except MagnitudeError as exc:
+        return str(exc)
+
+
+@given(_circuits(), st.data())
+def test_circuit_text_round_trip(c, data):
+    text = write_circuit(c)
+    back = read_circuit(text)
+    assert (back.gates, back.inputs, back.output) == (c.gates, c.inputs, c.output)
+    assert write_circuit(back) == text
+    # Extra spaces and blank lines read back to the same canonical text.
+    spaced = "\n\n".join("  ".join(line.split(" ")) for line in text.splitlines())
+    assert write_circuit(read_circuit(spaced + "\n")) == text
+    bits = st.lists(st.integers(0, 1), min_size=len(c.inputs), max_size=len(c.inputs))
+    for _ in range(4):
+        assignment = data.draw(bits)
+        got = _evaluated(back, assignment)
+        assert got == _evaluated(c, assignment)
+        if isinstance(got, int):
+            assert got == naive_eval(c, assignment)
+
+
 def test_read_circuit_rejects_malformed_text():
     from eqkit import CircuitFormatError
 
@@ -370,6 +440,9 @@ def test_leading_difference_trichotomy():
                 assert minus == (total < 0)
 
 
+BIG = 1 << 61
+
+
 @pytest.mark.parametrize("chunk_bytes", [8, 1 << 12, 1 << 14])
 def test_exhaustive_check_matches_row_by_row(monkeypatch, chunk_bytes):
     # A small byte ceiling shrinks the chunks, so several chunks and their
@@ -392,19 +465,41 @@ def test_exhaustive_check_matches_row_by_row(monkeypatch, chunk_bytes):
     ]
     wire = ThresholdCircuit([Gate(1, "INPUT")], (1,), 1)  # output is the input
     cases += [(wire, "parity", {}), (wire, "valueset", dict(weights=(1,), values={0}))]
+    # Object-route cases: gate values past int64, reference sums past int64,
+    # and gates that can leave the 2**127 budget (a fan-in prefix, a SUM
+    # whose bias brings the final value back, an LT gate).
+    big_ws, big_vs = (BIG - 1, BIG, 1, 2, BIG + 5), {BIG, 3, 2 * BIG - 1}
+    big = compile_value_set(big_ws, big_vs)
+    zero = dict(weights=(0, 0, 0), values={0})
+    rows = dict(weights=(4, 2, 1), values=set(range(8)) - {6})
+    cases += [
+        (big, "valueset", dict(weights=big_ws, values=big_vs)),
+        (big, "valueset", dict(weights=big_ws, values={BIG, 3})),
+        (big, "parity", {}),
+        (
+            compile_value_set(ws, vs),
+            "valueset",
+            dict(weights=[w * BIG for w in ws], values={BIG * v for v in vs}),
+        ),
+        (overflow_circuit(), "valueset", zero),
+        (overflow_circuit(), "valueset", rows),
+        (overflow_circuit(-B + 1), "valueset", zero),
+        (overflow_circuit(gate=f"4 SUM {-B} 1:{B} 2:{B}"), "valueset", zero),
+        (overflow_circuit(gate=f"4 SUM 0 3:{B} 2:{B}"), "valueset", rows),
+        (overflow_circuit(gate=f"4 LT 0 1:{B} 2:{B} 3:{B}"), "valueset", zero),
+    ]
     rng = random.Random(chunk_bytes)
-    mismatches = 0
-    for trial in range(120):
+    mismatches = raised = 0
+    for trial in range(150):
         c, reference, kw = cases[trial % len(cases)]
         if trial >= len(cases) and c.ordered_gates:
             c = perturb(c, rng)
-        want = first_mismatch_by_rows(c, reference, **kw)
-        assert exhaustive_check(c, reference, **kw) == want
-        mismatches += want is not None
+        want = outcome(first_mismatch_by_rows, c, reference, **kw)
+        assert outcome(exhaustive_check, c, reference, **kw) == want
+        mismatches += isinstance(want, tuple)
+        raised += isinstance(want, str)
     assert mismatches > 40
-
-
-BIG = 1 << 61
+    assert raised > 10
 
 
 @pytest.mark.parametrize(
@@ -422,16 +517,56 @@ def test_exhaustive_check_exact_path(
     monkeypatch, circuit_weights, circuit_values, weights, values
 ):
     c = compile_value_set(circuit_weights, circuit_values)
-    calls = []
-    exact = circuit_module._exhaustive_check_py
-    monkeypatch.setattr(
-        circuit_module,
-        "_exhaustive_check_py",
-        lambda *args: calls.append(args) or exact(*args),
-    )
     want = first_mismatch_by_rows(c, "valueset", weights=weights, values=values)
+    dtypes, replayed = [], []
+    keys = circuit_module._keys
+    monkeypatch.setattr(
+        circuit_module, "_keys", lambda coef, v: dtypes.append(coef.dtype) or keys(coef, v)
+    )
+    monkeypatch.setattr(circuit_module, "eval_circuit", lambda *a: replayed.append(a))
     assert exhaustive_check(c, "valueset", weights=weights, values=values) == want
-    assert len(calls) == 1
+    # The stream ran on object arrays, and no gate can reach 2**127, so no
+    # row went back to eval_circuit.
+    assert dtypes and all(d == object for d in dtypes)
+    assert replayed == []
+
+
+def test_exhaustive_check_int64_route_replays_nothing(monkeypatch, eq_4x8):
+    c = compile_eq_circuit(eq_4x8)
+    dtypes = []
+    keys = circuit_module._keys
+    monkeypatch.setattr(
+        circuit_module, "_keys", lambda coef, v: dtypes.append(coef.dtype) or keys(coef, v)
+    )
+    monkeypatch.setattr(circuit_module, "eval_circuit", None)  # never called
+    assert exhaustive_check(c, "eq", n=8) is None
+    assert dtypes and all(d == "int64" for d in dtypes)
+
+
+def test_exhaustive_check_overflow_row_and_text(monkeypatch):
+    # Row by row, eval_circuit first raises at (1, 1, 0): gate 4's prefix
+    # B + B is 2**127.  A reference mismatch one row earlier is returned;
+    # one at that row is not, since the raise comes first.
+    c = overflow_circuit()
+    zero = dict(weights=(0, 0, 0), values={0})
+    assert outcome(first_mismatch_by_rows, c, "valueset", **zero) == OVERFLOW
+    replayed = []
+    evaluate = circuit_module.eval_circuit
+    def spy(circuit, assignment):
+        replayed.append(assignment)
+        return evaluate(circuit, assignment)
+
+    monkeypatch.setattr(circuit_module, "eval_circuit", spy)
+    assert outcome(exhaustive_check, c, "valueset", **zero) == OVERFLOW
+    assert replayed[-1] == (1, 1, 0)
+    assert replayed == sorted(replayed)
+    counter = dict(weights=(4, 2, 1))  # the reference sum is the row number
+    before = exhaustive_check(c, "valueset", values=set(range(8)) - {5}, **counter)
+    assert before == (1, 0, 1)
+    at = outcome(exhaustive_check, c, "valueset", values=set(range(8)) - {6}, **counter)
+    assert at == OVERFLOW
+    # The mismatch comes first: the output is 0 at (0, 0, 1), before any overflow.
+    assert exhaustive_check(overflow_circuit(-B + 1), "valueset", **zero) == (0, 0, 1)
 
 
 def test_exhaustive_check_memory_is_bounded():
@@ -441,6 +576,20 @@ def test_exhaustive_check_memory_is_bounded():
     tracemalloc.start()
     try:
         assert exhaustive_check(c, "eq", n=n) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+
+
+def test_exhaustive_check_object_route_memory_is_bounded():
+    # 2**20 assignments on object arrays: parity as a value set over weights
+    # 2**61, so the EXACT gates' sums pass int64.
+    n = 20
+    c = compile_value_set([BIG] * n, {BIG * v for v in range(1, n + 1, 2)})
+    tracemalloc.start()
+    try:
+        assert exhaustive_check(c, "parity") is None
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

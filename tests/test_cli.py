@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 
@@ -7,6 +8,7 @@ from conftest import FIXTURES
 from eqkit import (
     IntMatrix,
     cli,
+    construct,
     construct_eq,
     matvec,
     read_circuit,
@@ -55,6 +57,50 @@ def test_construct_out_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text() == (FIXTURES / "eq_k2.txt").read_text()
+
+
+def _refuse_to_build(*args):
+    raise AssertionError("the matrix was built")
+
+
+def test_construct_charges_its_size_against_the_cap(capsys, monkeypatch):
+    # k=12 has 4096 x 28672 = 117,440,512 entries, past the default cap of
+    # 10**8; it is refused before any recursion step runs.
+    monkeypatch.setattr(construct, "_expand", _refuse_to_build)
+    code, out, err = run(capsys, "construct", "eq", "--k", "12")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: enumeration needs 117440512 elementary steps, cap allows 100000000\n"
+    )
+    # q=3, k=4: 81 x 189 entries.
+    code, _, err = run(capsys, "--cap", "15308", "construct", "eqq", "--q", "3", "--k", "4")
+    assert code == 2
+    assert err == "error: enumeration needs 15309 elementary steps, cap allows 15308\n"
+    # k=11 (2048 x 13312 entries) and k=12 under a raised cap pass the check
+    # and go on to build.
+    for cap in ([], ["--cap", "117440512"]):
+        k = "12" if cap else "11"
+        with pytest.raises(AssertionError, match="was built"):
+            main(cap + ["construct", "eq", "--k", k])
+
+
+def test_construct_k7_bytes_are_unchanged(capsys):
+    code, out, _ = run(capsys, "construct", "eq", "--k", "7")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "8ad4156ff8d43a27708a230fd0f633e73d70feaf321d90451ab186413aa0ee5f"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("eq", "--k", "-1"), "iteration count k must be >= 0"),
+        (("eqq", "--q", "1", "--k", "2"), "arity q must be at least 2"),
+    ],
+)
+def test_construct_argument_errors_come_before_the_cap(capsys, argv, message):
+    code, out, err = run(capsys, "--cap", "0", "construct", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_construct_crt_refusal_is_usage_error(capsys):
@@ -355,6 +401,19 @@ def test_search_cli_refuses_impossible_rate(capsys):
     assert "bound" in err
 
 
+@pytest.mark.parametrize("weight", ["-1", "-2", "-100000"])
+def test_search_cli_refuses_negative_weight(capsys, weight):
+    # The weight is checked before the rate cap, whose bound is a fraction
+    # for a negative weight.
+    code, out, err = run(
+        capsys,
+        "search", "rmds", "--n", "4", "--m", "2", "--r", "2", "--q", "3",
+        "--w", weight, "--seed", "0", "--max-attempts", "5",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: weight bound must be >= 0\n"
+
+
 def test_residue_check_cli(capsys):
     code, out, _ = run(
         capsys,
@@ -559,3 +618,76 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["construct", "eq"])  # missing --k
     assert info.value.code == 2
+
+
+def test_circuit_check_reports_overflow_at_its_row(capsys, tmp_path):
+    # A parity circuit whose gate 4 leaves the 2**127 budget at (1, 1, 0),
+    # the first row where its fan-in prefix reaches B + B; it agrees with
+    # parity on every row before that.
+    b = 1 << 126
+    circuit_file = tmp_path / "overflow.circ"
+    circuit_file.write_text(
+        "inputs 1 2 3\noutput 7\n1 INPUT 0\n2 INPUT 0\n3 INPUT 0\n"
+        f"4 SUM 0 1:{b} 2:{b} 3:{-b}\n5 EXACT 1 1:1 2:1 3:1\n"
+        "6 EXACT 3 1:1 2:1 3:1\n7 LT 1 5:1 6:1 4:0\n"
+    )
+    argv = ("circuit", "check", str(circuit_file), "--ref", "parity", "--n", "3")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: |{1 << 127}| exceeds the 2^127 budget\n"
+    code, out, _ = run(capsys, "circuit", "eval", str(circuit_file), "--input", "1 0 1")
+    assert (code, out) == (0, "0\n")
+
+
+def _mutate(text, rng):
+    """text with one or two characters inserted, deleted or replaced."""
+    alphabet = "0123456789" * 3 + " -:\n#=kmnqINPUTLSXC"
+    chars = list(text)
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(chars) + 1)
+        action = rng.choice(("insert", "delete", "replace"))
+        if action == "insert" or i == len(chars):
+            chars.insert(i, rng.choice(alphabet))
+        elif action == "delete":
+            del chars[i]
+        else:
+            chars[i] = rng.choice(alphabet)
+    return "".join(chars)
+
+
+def test_cli_survives_mutated_files(capsys, tmp_path):
+    # Seeded mutations of valid matrix and circuit files: every run ends in
+    # exit 0, 1 or 2, and main never raises.
+    rng = random.Random(2024)
+    names = ("eq_k2.txt", "crt_4x8.txt", "rmds_n3.txt")
+    matrices = [(FIXTURES / name).read_text() for name in names]
+    circuits = {
+        "valueset.circ": ("parity", "4"),
+        "eq_k2.circ": ("eq", "8"),
+        "comp_n3_lt.circ": ("comp", "3"),
+    }
+    target = tmp_path / "mutated"
+    codes = []
+    for trial in range(240):
+        if trial % 2:
+            target.write_text(_mutate(rng.choice(matrices), rng))
+            runs = [
+                ("--cap", "100000", "verify", "eq", "--q", "2", str(target)),
+                ("decode", str(target), "--z", "1 0 1 1"),
+            ]
+        else:
+            name = rng.choice(sorted(circuits))
+            ref, n = circuits[name]
+            target.write_text(_mutate((FIXTURES / name).read_text(), rng))
+            k = 2 * int(n) if ref != "parity" else int(n)
+            runs = [
+                ("circuit", "eval", str(target), "--input", " ".join("1" * k)),
+                ("--cap", "70000", "circuit", "check", str(target), "--ref", ref, "--n", n),
+                ("circuit", "exactify", str(target)),
+            ]
+        for argv in runs:
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 1, 2), (argv, target.read_text())
+            assert code != 2 or err.startswith("error: ")
+            codes.append(code)
+    assert {0, 2} <= set(codes)

@@ -97,6 +97,16 @@ def test_search_validation():
         search_rmds(4, 2, 1, 3, 1, seed=0, max_attempts=0)
 
 
+@pytest.mark.parametrize("weight", [-1, -2, -100000])
+def test_search_refuses_negative_weight_before_the_rate_cap(monkeypatch, weight):
+    def refuse(*args):
+        raise AssertionError("the rate cap was consulted")
+
+    monkeypatch.setattr(search, "_exceeds_rate_cap", refuse)
+    with pytest.raises(ValueError, match="^weight bound must be >= 0$"):
+        search_rmds(4, 2, 2, 3, weight, seed=0, max_attempts=5)
+
+
 def test_suggest_params_examples():
     assert suggest_params(8, 8, 3) == (3, 32)
     assert suggest_params(2, 1, 3)[0] == 2
