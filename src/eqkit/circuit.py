@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import sys
 import warnings
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -51,9 +52,16 @@ class Gate:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if self.kind == INPUT and self.fan_in:
             raise ValueError("INPUT gates take no fan-in")
-        object.__setattr__(
-            self, "fan_in", tuple((int(s), checked(int(w))) for s, w in self.fan_in)
-        )
+        fan = tuple(self.fan_in)
+        sources, weights = zip(*fan, strict=True) if fan else ((), ())
+        # Pairs that are already tuples of exact ints are kept, not copied.
+        if set(map(type, fan + sources + weights)) != {tuple, int}:
+            weights = tuple(map(int, weights))
+            fan = tuple(zip(map(int, sources), weights))
+        if weights and (max(weights) >= _LIMIT or min(weights) <= -_LIMIT):
+            for w in weights:  # name the first weight out of budget
+                checked(w)
+        object.__setattr__(self, "fan_in", fan)
         object.__setattr__(self, "bias", checked(int(self.bias)))
 
 
@@ -78,10 +86,6 @@ class ThresholdCircuit:
                 raise ValueError(f"INPUT gate {g.gid} is missing from the input list")
         if output not in gate_map:
             raise ValueError(f"output id {output} does not exist")
-        for g in gate_map.values():
-            for src, _ in g.fan_in:
-                if src not in gate_map:
-                    raise ValueError(f"gate {g.gid} references missing source {src}")
         self._gates = gate_map
         self._inputs = inputs
         self._output = output
@@ -89,36 +93,28 @@ class ThresholdCircuit:
         self._ordered = tuple(
             gate_map[gid] for gid in self._order if gate_map[gid].kind != INPUT
         )
-        self._depth = self._compute_depth()
 
     def _topological_order(self) -> tuple[int, ...]:
         indegree = {gid: len(g.fan_in) for gid, g in self._gates.items()}
         consumers: dict[int, list[int]] = {gid: [] for gid in self._gates}
-        for gid, g in self._gates.items():
-            for src, _ in g.fan_in:
-                consumers[src].append(gid)
-        ready = deque(sorted(gid for gid, d in indegree.items() if d == 0))
-        order: list[int] = []
-        while ready:
-            gid = ready.popleft()
-            order.append(gid)
+        try:
+            for gid, g in self._gates.items():
+                for src, _ in g.fan_in:
+                    consumers[src].append(gid)
+        except KeyError:
+            raise ValueError(f"gate {gid} references missing source {src}") from None
+        # The order is also the queue: the loop visits the gids extended onto it.
+        order = sorted(gid for gid, d in indegree.items() if d == 0)
+        for gid in order:
             inserted = []
             for nxt in consumers[gid]:
                 indegree[nxt] -= 1
                 if indegree[nxt] == 0:
                     inserted.append(nxt)
-            ready.extend(sorted(inserted))
+            order.extend(sorted(inserted))
         if len(order) != len(self._gates):
             raise ValueError("circuit contains a cycle")
         return tuple(order)
-
-    def _compute_depth(self) -> int:
-        depth: dict[int, int] = {}
-        for gid in self._order:
-            g = self._gates[gid]
-            below = max((depth[src] for src, _ in g.fan_in), default=0)
-            depth[gid] = below + (1 if g.kind in (LT, EXACT) else 0)
-        return depth[self._output]
 
     @property
     def gates(self) -> dict[int, Gate]:
@@ -141,9 +137,13 @@ class ThresholdCircuit:
         """The non-input gates in topological order."""
         return self._ordered
 
-    @property
+    @cached_property
     def depth(self) -> int:
-        return self._depth
+        depth = dict.fromkeys(self._inputs, 0)
+        for g in self._ordered:
+            below = max((depth[src] for src, _ in g.fan_in), default=0)
+            depth[g.gid] = below + (1 if g.kind in (LT, EXACT) else 0)
+        return depth[self._output]
 
     @property
     def gate_count(self) -> int:
@@ -484,19 +484,17 @@ def read_circuit(text: str) -> ThresholdCircuit:
         raise CircuitFormatError("malformed header") from None
     gates = []
     for line in lines[2:]:
-        tokens = line.split()
-        if len(tokens) < 3:
-            raise CircuitFormatError(f"malformed gate line {line!r}")
         try:
-            gid = int(tokens[0])
-            bias = int(tokens[2])
-            fan = []
-            for tok in tokens[3:]:
-                src, _, w = tok.partition(":")
-                fan.append((int(src), int(w)))
+            gid, kind, bias, *tokens = line.split()
+            # Every fan-in token is src:weight with exactly one colon.
+            if set(map(str.count, tokens, repeat(":"))) - {1}:
+                raise ValueError
+            nums = map(int, ":".join(tokens).split(":") if tokens else ())
+            # zip over one iterator pairs each source with the weight after it.
+            gid, bias, fan = int(gid), int(bias), tuple(zip(nums, nums))
         except ValueError:
             raise CircuitFormatError(f"malformed gate line {line!r}") from None
-        gates.append(Gate(gid, tokens[1], tuple(fan), bias))
+        gates.append(Gate(gid, kind, fan, bias))
     return ThresholdCircuit(gates, inputs, output)
 
 

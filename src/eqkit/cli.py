@@ -196,13 +196,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_construct(args) -> int:
+    # The matrix's entries are charged against the cap before any is built.
     if args.family == "crt":
         primes = tuple(args.primes) if args.primes else choose_primes(args.n)
+        _check_cap(len(primes) * args.n, args.cap)
         _emit(write_matrix(build_crt(args.n, primes)), args.out)
         return 0
     base = _load_matrix(args.base)[0] if args.base else None
     q = 2 if args.family == "eq" else args.q
-    # The matrix's entries are charged against the cap before any is built.
     trace = construction_trace(args.k, q, base)
     _check_cap(trace.rows * trace.cols, args.cap)
     a, trace = construct_eq_q(args.k, q, base)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 MAGNITUDE_BITS = 127
@@ -145,15 +144,6 @@ class ConstructionTrace:
             raise ValueError("iteration count must be >= 0")
         if self.q < 2:
             raise ValueError("arity q must be at least 2")
-        # dimension law must close in exact rational arithmetic
-        cols = (
-            Fraction(self.q) ** self.k
-            * self.n0
-            * (Fraction(self.k, self.q) * Fraction(self.m0, self.n0) + 1)
-        )
-        if cols.denominator != 1:
-            raise ValueError(f"trace implies non-integer column count {cols}")
-        object.__setattr__(self, "_cols", int(cols))
 
     @property
     def rows(self) -> int:
@@ -161,7 +151,10 @@ class ConstructionTrace:
 
     @property
     def cols(self) -> int:
-        return self._cols  # type: ignore[attr-defined]
+        # The law q^k n0 (k/q m0/n0 + 1) is q^k n0 + k q^(k-1) m0, an integer.
+        if self.k == 0:
+            return self.n0
+        return self.q ** (self.k - 1) * (self.q * self.n0 + self.k * self.m0)
 
 
 def matvec(a: IntMatrix, x: Sequence[int]) -> tuple[int, ...]:

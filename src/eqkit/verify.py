@@ -51,10 +51,19 @@ class CapExceededError(RuntimeError):
 
     def __init__(self, required: int, allowed: int):
         super().__init__(
-            f"enumeration needs {required} elementary steps, cap allows {allowed}"
+            f"enumeration needs {_count(required)} elementary steps, "
+            f"cap allows {_count(allowed)}"
         )
         self.required = required
         self.allowed = allowed
+
+
+def _count(value: int) -> str:
+    """value in decimal, or by its bit length when too long to print."""
+    try:
+        return str(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return f"at least 2^{value.bit_length() - 1}"
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,48 @@ def test_construct_crt_refusal_is_usage_error(capsys):
     assert "error:" in err
 
 
+def test_construct_crt_charges_its_size_against_the_cap(capsys, monkeypatch):
+    # n=40 takes the 11 primes 3..37: 11 x 40 = 440 entries.
+    code, out, err = run(capsys, "--cap", "439", "construct", "crt", "--n", "40")
+    assert (code, out) == (2, "")
+    assert err == "error: enumeration needs 440 elementary steps, cap allows 439\n"
+    code, out, _ = run(capsys, "--cap", "440", "construct", "crt", "--n", "40")
+    assert code == 0 and out.startswith("11 40\n")
+    # Given primes are charged too, before the matrix is built.
+    monkeypatch.setattr(cli, "build_crt", _refuse_to_build)
+    argv = ("--cap", "31", "construct", "crt", "--n", "8", "--primes", "3", "5", "7", "11")
+    assert run(capsys, *argv) == (
+        2,
+        "",
+        "error: enumeration needs 32 elementary steps, cap allows 31\n",
+    )
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4342,
+    reason="3^9100 is within this Python's int-to-str digit limit",
+)
+@pytest.mark.parametrize(
+    "argv, bits",
+    [
+        # 2^20000 x (2^19999 * 20002) entries: 12,046 digits.
+        (("construct", "eq", "--k", "20000"), 40013),
+        # (2q-1)^n = 3^9100 kernel vectors: 4,342 digits.
+        (("verify", "eq", "--q", "2", "ONES"), 14423),
+    ],
+)
+def test_cap_refusal_names_an_unprintable_count_by_bits(capsys, tmp_path, argv, bits):
+    ones = tmp_path / "ones.txt"
+    ones.write_text("1 9100\n" + " ".join(["1"] * 9100) + "\n")
+    argv = [str(ones) if a == "ONES" else a for a in argv]
+    assert run(capsys, *argv) == (
+        2,
+        "",
+        f"error: enumeration needs at least 2^{bits} elementary steps, "
+        "cap allows 100000000\n",
+    )
+
+
 def test_verify_eq_pass(capsys):
     code, out, _ = run(
         capsys, "verify", "eq", "--q", "2", str(FIXTURES / "eq_k2.txt")
@@ -612,6 +654,53 @@ def test_circuit_rejects_malformed_input_list(capsys, tmp_path, inputs):
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+
+_B = 1 << 127
+_HEAD = "inputs 1 2\noutput 3\n1 INPUT 0\n2 INPUT 0\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 INPUT 0\n2 INPUT 0\n3 LT 0 1:1\n", "expected 'inputs ...' and 'output ...' headers"),
+        ("inputs 1 x\noutput 3\n1 INPUT 0\n", "malformed header"),
+        (_HEAD + "3 LT\n", "malformed gate line '3 LT'"),
+        (_HEAD + "3 LT b 1:1\n", "malformed gate line '3 LT b 1:1'"),
+        (_HEAD + "3 LT 0 1:2:3 4\n", "malformed gate line '3 LT 0 1:2:3 4'"),
+        (_HEAD + "3 LT 0 1:1 5\n", "malformed gate line '3 LT 0 1:1 5'"),
+        (_HEAD + "3 NAND 0 1:1\n", "unknown gate kind 'NAND'"),
+        (
+            "inputs 1 2\noutput 3\n1 INPUT 0\n2 INPUT 0 1:1\n3 LT 0 1:1\n",
+            "INPUT gates take no fan-in",
+        ),
+        # The first weight out of budget is named, not the largest one.
+        (_HEAD + f"3 LT 0 1:{_B - 1} 2:{_B} 1:{-2 * _B}\n", f"|{_B}| exceeds the 2^127 budget"),
+        (_HEAD + f"3 LT {_B} 1:1\n", f"|{_B}| exceeds the 2^127 budget"),
+        (_HEAD + "2 LT 0 1:1\n3 LT 0 1:1\n", "duplicate gate id 2"),
+        (_HEAD + "3 LT 0 1:1 4:1\n", "gate 3 references missing source 4"),
+        (_HEAD + "4 LT 0 1:1\n", "output id 3 does not exist"),
+        (_HEAD + "3 INPUT 0\n", "INPUT gate 3 is missing from the input list"),
+        ("inputs 1 1\noutput 3\n1 INPUT 0\n3 LT 0 1:1\n", "input ids must not repeat"),
+        (_HEAD + "3 LT 0 4:1\n4 LT 0 3:1\n", "circuit contains a cycle"),
+    ],
+)
+def test_circuit_file_faults_are_usage_errors(capsys, tmp_path, text, message):
+    circuit_file = tmp_path / "bad.circ"
+    circuit_file.write_text(text)
+    for argv in (
+        ("circuit", "eval", str(circuit_file), "--input", "1 1"),
+        ("circuit", "check", str(circuit_file), "--ref", "parity", "--n", "2"),
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_circuit_file_takes_python_integer_literals(capsys, tmp_path):
+    # 1_0 and +2 are int() literals: 10 - 3 >= 0 on input (1, 1).
+    circuit_file = tmp_path / "literals.circ"
+    circuit_file.write_text(_HEAD + "3 LT 0 1:1_0 +2:-3\n")
+    argv = ("circuit", "eval", str(circuit_file), "--input", "1 1")
+    assert run(capsys, *argv) == (0, "1\n", "")
 
 
 def test_usage_error_exit_code():

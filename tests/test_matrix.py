@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from eqkit import (
     IntMatrix,
     MagnitudeError,
     MatrixFormatError,
+    construct_eq_q,
     matvec,
     read_matrix,
     write_matrix,
@@ -137,6 +140,19 @@ def test_trace_dimension_law():
     assert (trace.rows, trace.cols) == (8, 20)
     trace_q = ConstructionTrace(1, 1, 1, 3)
     assert (trace_q.rows, trace_q.cols) == (3, 4)
+
+
+def test_trace_dimension_law_is_integral():
+    # q^k n0 (k/q m0/n0 + 1), evaluated exactly, is what cols returns.
+    for m0, n0, k, q in itertools.product(range(1, 5), range(1, 5), range(7), range(2, 6)):
+        trace = ConstructionTrace(m0, n0, k, q)
+        law = Fraction(q) ** k * n0 * (Fraction(k, q) * Fraction(m0, n0) + 1)
+        assert type(trace.cols) is int and trace.cols == law
+        assert trace.rows == q**k * m0
+    for q in (2, 3, 4):
+        for k in range(5):
+            a, trace = construct_eq_q(k, q)
+            assert (trace.rows, trace.cols) == (a.m, a.n)
 
 
 def test_trace_validation():

@@ -5,10 +5,13 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eqkit import (
     CapExceededError,
     IntMatrix,
+    MagnitudeError,
     bounds_report,
     build_crt,
     choose_primes,
@@ -227,6 +230,32 @@ def test_bareiss_matches_cofactor_expansion():
         size = rng.randint(1, 5)
         rows = [[rng.randint(-6, 6) for _ in range(size)] for _ in range(size)]
         assert det_bareiss(rows) == det_cofactor(rows)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+# Entries up to 2^10 keep every Bareiss product of two 5x5 minors of a 6x6
+# matrix below 2 * (5^2.5 * 2^50)^2 < 2^113, inside the 2^127 budget.
+_ENTRY = st.one_of(st.integers(-1, 1), st.integers(-(2**10), 2**10))
+_SQUARE = st.integers(1, 6).flatmap(
+    lambda size: st.lists(
+        st.lists(_ENTRY, min_size=size, max_size=size), min_size=size, max_size=size
+    )
+)
+
+
+@given(rows=_SQUARE)
+def test_bareiss_matches_sympy(sympy, rows):
+    assert det_bareiss(rows) == sympy.Matrix(rows).det()
+
+
+def test_bareiss_raises_past_the_budget():
+    # The first elimination product is 2^64 * 2^64.
+    with pytest.raises(MagnitudeError):
+        det_bareiss([[2**64, 1], [1, 2**64]])
 
 
 def test_is_mds_matches_cofactor_on_small_matrices():
