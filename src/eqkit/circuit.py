@@ -226,8 +226,8 @@ def exhaustive_check(
     as a row-by-row eval_circuit scan.
     """
     n_inputs = len(c.inputs)
-    _check_cap(1 << n_inputs, cap)
     coef, test = _reference_form(reference, n_inputs, n, weights, values)
+    _check_cap(1 << n_inputs, cap)
     return _stream_check(c, coef, test)
 
 

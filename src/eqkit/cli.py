@@ -256,8 +256,13 @@ def _run_decode(args) -> int:
     if trace is None:
         raise ValueError("decode needs a matrix file with a trace comment")
     if trace.q == 2 and (trace.m0, trace.n0) == (1, 1):
-        # The shape is checked first: a lying k would make the rebuild huge.
-        if (a.m, a.n) != (trace.rows, trace.cols) or construct_eq(trace.k)[0] != a:
+        # The shape is checked first, and k first of all (rows = 2^k): a lying
+        # k would make the shape and the rebuild huge.
+        if (
+            trace.k != a.m.bit_length() - 1
+            or (a.m, a.n) != (trace.rows, trace.cols)
+            or construct_eq(trace.k)[0] != a
+        ):
             raise ValueError("matrix file does not match its trace")
     z = _parse_vector(args.z)
     try:

@@ -7,15 +7,15 @@ significant one under the power-of-two weight convention) is compared first
 and the order agrees with ascending integer value; component values are
 ordered -(q-1) < ... < q-1.
 
-is_eq_q decides both modes by meet in the middle (Horowitz-Sahni): an exact
-key table over the low ceil(n/2) coordinates and a chunked scan of the high
-ones, about 2*(2q-1)^ceil(n/2) work; the cap is still charged (2q-1)^n or
-q^n.  Injectivity mode enumerates the q^n encodings only on failure, to
-report the first colliding pair.
+One meet-in-the-middle engine, _kernel_search, names every EQ witness: the
+kernel vector of smallest rank in the counter order (the first kernel
+vector) or the collision order (the first colliding pair of encodings).  A
+table of at most 2^20 low vectors and a chunked high scan bound its memory
+at any cap, which is still charged (2q-1)^n (kernel) or q^n (injectivity).
 
 is_rmds decides all m-row blocks at once from the zero pattern of A x over
-one vector of each +-x pair, unless checking the blocks one by one costs
-fewer element operations; the cap is charged C(rows, m) q^n either way.
+one vector of each +-x pair, unless checking the blocks one by one with the
+engine costs fewer element operations; the cap is charged C(rows, m) q^n.
 """
 
 from __future__ import annotations
@@ -70,9 +70,9 @@ def _count(value: int) -> str:
 class RmdsWitness:
     """Row block (0-based indices) whose submatrix admits a kernel vector.
 
-    The kernel witness, the first encoding-collision difference of the
-    block, is searched for on first use: a caller that needs only the
-    verdict or the rows never pays for it.
+    The kernel witness, the block's first encoding-collision difference, is
+    found on first use by the engine in the collision order, in memory
+    bounded by its low table: a caller that needs only the rows never pays.
     """
 
     rows: tuple[int, ...]
@@ -81,7 +81,7 @@ class RmdsWitness:
 
     @cached_property
     def kernel(self) -> Counterexample:
-        return _injectivity_search(self.block, self.q)
+        return _kernel_search(self.block, self.q, collision=True)
 
 
 @dataclass(frozen=True)
@@ -103,15 +103,8 @@ def _check_cap(required: int, cap: Optional[int]) -> None:
         raise CapExceededError(required, allowed)
 
 
-def _digits_of(value: int, n: int, base: int) -> tuple[int, ...]:
-    return tuple((value // base**j) % base for j in range(n))
-
-
 def is_eq_q(
-    a: IntMatrix,
-    q: int,
-    mode: str = "kernel",
-    cap: Optional[int] = None,
+    a: IntMatrix, q: int, mode: str = "kernel", cap: Optional[int] = None
 ) -> Optional[Counterexample]:
     """Exhaustive EQ_q oracle; None means the property holds.
 
@@ -126,9 +119,7 @@ def is_eq_q(
         return _kernel_search(a, q)
     if mode == "injectivity":
         _check_cap(q**a.n, cap)
-        if _kernel_search(a, q) is None:
-            return None
-        return _injectivity_search(a, q)
+        return _kernel_search(a, q, collision=True)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -161,8 +152,8 @@ def _digit_grid(n: int, values: range) -> np.ndarray:
 def _keys(coef: np.ndarray, values: range) -> np.ndarray:
     """c.x for every x in values^len(c), in counter order (first coordinate fastest).
 
-    A cached grid of at most _GRID_ROWS rows covers the first coordinates
-    (all of them for is_rmds blocks); each further one is a broadcast add.
+    A cached grid of at most _GRID_ROWS rows covers the first coordinates;
+    each further one is a broadcast add.
     """
     head = 0
     while head < coef.size and len(values) ** (head + 1) <= _GRID_ROWS:
@@ -174,64 +165,75 @@ def _keys(coef: np.ndarray, values: range) -> np.ndarray:
     return keys
 
 
-def _kernel_search(a: IntMatrix, q: int) -> Optional[Counterexample]:
-    """First nonzero kernel vector in enumeration order, by meet in the middle.
+def _kernel_search(a: IntMatrix, q: int, collision: bool = False) -> Optional[Counterexample]:
+    """The nonzero kernel vector with a negative top coordinate of smallest rank.
 
-    The counter splits as v = v_low + base**low * v_high.  The low table maps
-    each key c_L.x_L to its smallest low counter; the high counters are
-    scanned in ascending order, looking up -c_H.x_H in chunks of at most
-    _CHUNK: the negated keys of the first high coordinates, built once, minus
-    one scalar per chunk for the rest.  The first hit therefore has the
-    smallest v_high and, for it, the smallest v_low.  x_high = 0 instead
-    needs the smallest nonzero x_low with key 0.
+    That is the first kernel vector in the counter order, and in the
+    collision order the difference d of the first colliding pair of
+    encodings (earlier, later) = (d+, d-).  Meet in the middle
+    (Horowitz-Sahni) on the counter v = v_low + base**low * v_high: the low
+    table sorts the keys c_L.x_L; the high counters below the zero vector's
+    (x_high with a negative top) are scanned in chunks of at most _CHUNK for
+    -c_H.x_H, the negated keys of the first high coordinates minus one
+    scalar per chunk; x_high = 0 needs a nonzero low part with key 0 and a
+    negative top.  Ranks are built at the first hit: each key then takes its
+    low part of smallest rank, and chunks that cannot beat the best are skipped.
     """
     n, base, values = a.n, 2 * q - 1, range(1 - q, q)
     coef = _packed_row(a, q)
+    # rank(x) = pos.x+ + neg.x-, x+ = max(x, 0), x- = max(-x, 0): the counter
+    # minus the zero vector's, or counter(x+) + q^n counter(x-) in base q.
+    pos = [(q if collision else base) ** i for i in range(n)]
+    neg = [q**n * p if collision else -p for p in pos]
     low = (n + 1) // 2
     while base**low > _TABLE_ROWS:
         low -= 1
     keys = _keys(coef[:low], values)
-    table, first = np.unique(keys, return_index=True)
-    zero_low = (q - 1) * (base**low - 1) // (base - 1)
-    zero_alt = next((int(v) for v in np.flatnonzero(keys == 0) if v != zero_low), None)
-    high = n - low
-    zero_high = (q - 1) * (base**high - 1) // (base - 1)
-    span = 0
+    table = np.sort(keys)
+    high, span = n - low, 0
     while span < high and base ** (span + 1) <= _CHUNK:
         span += 1
-    head = -_keys(coef[low : low + span], values)
+    head, top = -_keys(coef[low : low + span], values), low + span
+
+    @lru_cache(maxsize=None)
+    def ranked():
+        dtype = np.int64 if (q - 1) * sum(map(abs, neg)) < _INT64_SAFE else object
+        sums = [np.zeros(1, dtype), np.zeros(1, dtype)]  # the low part, the head part
+        for i, p, g in zip(range(top), pos, neg):
+            term = np.array([p * max(v, 0) + g * max(-v, 0) for v in values], dtype)
+            sums[i >= low] = (term[:, None] + sums[i >= low]).ravel()
+        ranks, head_ranks = sums
+        # Sorted by key, then by rank: each run of a key in table starts at
+        # its low part of smallest rank.
+        return ranks, np.lexsort((ranks, keys)), head_ranks, ranks.min() + head_ranks.min()
+
+    zero_high, best = (base**high - 1) // 2, (math.inf, 0)  # (rank, counter)
+    zeros = np.flatnonzero(keys[: (base**low - 1) // 2] == 0)
+    if zeros.size:
+        v_low = int(zeros[np.argmin(ranked()[0][zeros])])
+        best = (ranked()[0][v_low], v_low + base**low * zero_high)
     target = np.empty_like(head)
-    for rest in range(base ** (high - span)):
-        digits = zip(_digits_of(rest, high - span, base), coef[low + span :])
-        np.subtract(head, sum((d + 1 - q) * int(c) for d, c in digits), out=target)
-        start = rest * head.size
+    for chunk in range(-(-zero_high // head.size)):
+        x_top = [chunk // base**j % base + 1 - q for j in range(high - span)]
+        terms = zip(x_top, pos[top:], neg[top:])
+        top_rank = sum(p * max(x, 0) + g * max(-x, 0) for x, p, g in terms)
+        if best[0] < math.inf and ranked()[3] + top_rank >= best[0]:
+            continue
+        np.subtract(head, sum(x * int(c) for x, c in zip(x_top, coef[top:])), out=target)
+        start = chunk * head.size
         idx = np.minimum(np.searchsorted(table, target), table.size - 1)
         hit = table[idx] == target
-        if start <= zero_high < start + hit.size:
-            hit[zero_high - start] = zero_alt is not None
-        pos = np.flatnonzero(hit)
-        if pos.size:
-            v_high = start + int(pos[0])
-            v_low = zero_alt if v_high == zero_high else int(first[idx[pos[0]]])
-            value = v_low + base**low * v_high
-            return Counterexample(tuple(d + 1 - q for d in _digits_of(value, n, base)))
-    return None
-
-
-def _injectivity_search(a: IntMatrix, q: int) -> Optional[Counterexample]:
-    keys = _keys(_packed_row(a, q), range(q))
-    _, first_of_unique, inverse = np.unique(
-        keys, return_index=True, return_inverse=True
-    )
-    first = first_of_unique[inverse]
-    duplicates = np.flatnonzero(first != np.arange(keys.size))
-    if duplicates.size == 0:
+        hit[zero_high - start :] = False
+        found = np.flatnonzero(hit)
+        if found.size:
+            ranks, best_low, head_ranks, _ = ranked()
+            lows = best_low[idx[found]]
+            totals = ranks[lows] + head_ranks[found] + top_rank
+            j = int(np.argmin(totals))
+            best = min(best, (totals[j], int(lows[j]) + base**low * (start + int(found[j]))))
+    if best[0] == math.inf:
         return None
-    later = int(duplicates[0])
-    earlier = int(first[later])
-    xe = _digits_of(earlier, a.n, q)
-    xl = _digits_of(later, a.n, q)
-    return Counterexample(tuple(b - c for b, c in zip(xe, xl)))
+    return Counterexample(tuple(best[1] // base**j % base + 1 - q for j in range(n)))
 
 
 def det_bareiss(rows: Sequence[Sequence[int]]) -> int:
@@ -279,18 +281,14 @@ def is_mds(a: IntMatrix, cap: Optional[int] = None) -> Optional[tuple[int, ...]]
 
 
 def is_rmds(
-    a: IntMatrix,
-    m: int,
-    q: int,
-    cap: Optional[int] = None,
+    a: IntMatrix, m: int, q: int, cap: Optional[int] = None
 ) -> Optional[RmdsWitness]:
     """None if every m-row submatrix is an EQ_q matrix.
 
-    On failure returns the lexicographically first failing row set; its
-    kernel witness comes from the block's encoding-collision search (a
-    collision difference is a kernel vector and every kernel vector splits
-    into a colliding pair).  The row set comes from one zero-pattern product
-    (_zero_pattern_block) unless checking the blocks in order by that
+    On failure returns the lexicographically first failing row set, with
+    the first encoding-collision difference of its block as the kernel
+    witness.  The row set comes from one zero-pattern product
+    (_zero_pattern_block) unless deciding the blocks in order by the kernel
     search costs fewer element operations.  The MDS rate rows/m may be
     rational (the 5-row residue fixture has rate 5/4), so any m <= rows is
     accepted.  The cap is charged q^n encodings per block on both routes.
@@ -308,7 +306,7 @@ def is_rmds(
         return RmdsWitness(rows, IntMatrix.from_rows(a.entries[i] for i in rows), q)
     for rows in itertools.combinations(range(a.m), m):
         block = IntMatrix.from_rows(a.entries[i] for i in rows)
-        if _injectivity_search(block, q) is not None:
+        if _kernel_search(block, q) is not None:
             return RmdsWitness(rows, block, q)
     return None
 
@@ -317,8 +315,9 @@ def _zero_pattern_pays(rows: int, m: int, n: int, q: int) -> bool:
     """Whether one zero-pattern product costs no more than the block loop.
 
     Counted in element operations: the product costs one add per row for
-    each of the ((2q-1)^n - 1)/2 half-box vectors, and the loop sorts q^n
-    keys for each of the C(rows, m) blocks.
+    each of the ((2q-1)^n - 1)/2 half-box vectors, and the loop is charged
+    a sort of q^n keys for each of the C(rows, m) blocks, more than its
+    meet-in-the-middle search does.
     """
     keys = q**n
     half_box = ((2 * q - 1) ** n - 1) // 2

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from eqkit import IntMatrix, build_crt, construct_eq
+from eqkit import IntMatrix, build_crt, choose_primes, construct_eq
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -31,3 +31,12 @@ def crt_4x8() -> IntMatrix:
 @pytest.fixture(scope="session")
 def crt_5x8() -> IntMatrix:
     return build_crt(8, (3, 5, 7, 11, 13))
+
+
+@pytest.fixture(scope="session")
+def crt_7x20_repeated() -> IntMatrix:
+    """The 7x20 residue matrix with column 18 replaced by column 2."""
+    rows = [list(r) for r in build_crt(20, choose_primes(20)).entries]
+    for r in rows:
+        r[18] = r[2]
+    return IntMatrix.from_rows(rows)

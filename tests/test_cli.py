@@ -6,6 +6,7 @@ import pytest
 
 from conftest import FIXTURES
 from eqkit import (
+    ConstructionTrace,
     IntMatrix,
     cli,
     construct,
@@ -240,6 +241,23 @@ def test_decode_checks_trace_shape_before_rebuilding(capsys, tmp_path, monkeypat
     code, _, err = run(capsys, "decode", str(lying), "--z", "1")
     assert code == 2
     assert "does not match" in err
+
+
+def test_decode_checks_k_before_the_trace_shape(capsys, tmp_path, monkeypatch):
+    # rows = 2^k for this base, so the 1x1 file's k is refused from m alone,
+    # before 2^k (here with 3*10^8 bits) is computed.
+    def refuse(self):
+        raise AssertionError("the trace shape should not be computed")
+
+    monkeypatch.setattr(ConstructionTrace, "rows", property(refuse))
+    monkeypatch.setattr(ConstructionTrace, "cols", property(refuse))
+    lying = tmp_path / "lying.txt"
+    lying.write_text("# trace m0=1 n0=1 k=300000000 q=2\n1 1\n1\n")
+    assert run(capsys, "decode", str(lying), "--z", "1") == (
+        2,
+        "",
+        "error: matrix file does not match its trace\n",
+    )
 
 
 def _k7_file(tmp_path, edit=None):
@@ -501,6 +519,30 @@ def test_circuit_compile_eq_refuses_bad_matrix(capsys, tmp_path):
     assert "EQ check" in err
     code, _, _ = run(capsys, "circuit", "compile-eq", str(bad), "--unchecked")
     assert code == 0
+
+
+def test_circuit_compile_eq_names_the_first_collision(capsys, tmp_path, crt_7x20_repeated):
+    bad = tmp_path / "crt20.txt"
+    bad.write_text(write_matrix(crt_7x20_repeated))
+    kernel = ", ".join(["0", "0", "1"] + ["0"] * 15 + ["-1", "0"])
+    assert run(capsys, "circuit", "compile-eq", str(bad)) == (
+        2,
+        "",
+        f"error: matrix failed the EQ check (kernel vector ({kernel})); "
+        "pass verify=False to compile anyway\n",
+    )
+
+
+def test_circuit_check_validates_the_reference_before_the_cap(capsys, tmp_path):
+    # 1,152 inputs would need 2^1152 steps, far past the default cap, but
+    # --n 3 names 6 inputs: the reference is refused first.
+    k = 1152
+    ids = " ".join(str(i) for i in range(1, k + 1))
+    gates = "".join(f"{i} INPUT 0\n" for i in range(1, k + 1))
+    circuit_file = tmp_path / "wide.circ"
+    circuit_file.write_text(f"inputs {ids}\noutput {k + 1}\n{gates}{k + 1} LT 0 1:1\n")
+    argv = ("circuit", "check", str(circuit_file), "--ref", "eq", "--n", "3")
+    assert run(capsys, *argv) == (2, "", "error: eq reference needs 2n inputs\n")
 
 
 def test_circuit_exactify_preserves_check(capsys, tmp_path):

@@ -176,6 +176,35 @@ def test_oracle_memory_stays_small():
     assert peak < 8 << 20
 
 
+def test_failing_witness_memory_stays_small(crt_7x20_repeated):
+    # The first colliding pair is (e_2, e_18); naming it takes the half
+    # tables, not the 2^20 encodings (61 MB when they were all built).
+    a = crt_7x20_repeated
+    witness = (0, 0, 1) + (0,) * 15 + (-1, 0)
+    result, peak = _peak_bytes(lambda: is_eq_q(a, 2, mode="injectivity"))
+    assert result.x == witness
+    assert peak < 16 << 20
+    result, peak = _peak_bytes(lambda: is_rmds(a, a.m, 2).kernel)
+    assert result.x == witness
+    assert peak < 16 << 20
+
+
+def test_exact_ranks_match_brute_force(monkeypatch):
+    # With no int64 room every key and rank is an exact Python int.
+    monkeypatch.setattr(verify, "_INT64_SAFE", 1)
+    rng = random.Random(64)
+    for trial in range(30):
+        q = 2 + trial % 2
+        a = _random_matrix(rng, rng.randint(1, 3), rng.randint(1, 5), lo=-2, hi=2)
+        if trial % 3 == 0:
+            a = _with_duplicate_or_zero_column(rng, a)
+        assert verify._packed_row(a, q).dtype == object
+        got = is_eq_q(a, q, mode="kernel")
+        assert (got.x if got else None) == brute_kernel(a.entries, q)
+        got = is_eq_q(a, q, mode="injectivity")
+        assert (got.x if got else None) == brute_collision(a.entries, q)
+
+
 def test_unknown_mode_rejected(eq_4x8):
     with pytest.raises(ValueError):
         is_eq_q(eq_4x8, 2, mode="guess")
@@ -397,11 +426,16 @@ def _with_repeats(rng, rows):
     return rows
 
 
-@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("route", [*ROUTES, "blocks split"])
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_rmds_routes_match_brute_force(monkeypatch, route, q, m):
-    monkeypatch.setattr(verify, "_zero_pattern_pays", lambda *args: ROUTES[route])
+    monkeypatch.setattr(verify, "_zero_pattern_pays", lambda *args: ROUTES.get(route, False))
+    if route == "blocks split":
+        # The block loop with a one-row low table, chunks and grids, so each
+        # block decision and witness runs the engine's split.
+        for name in ("_TABLE_ROWS", "_CHUNK", "_GRID_ROWS"):
+            monkeypatch.setattr(verify, name, 1)
     rng = random.Random(100 * q + 10 * m + len(route))
     for trial in range(24):
         n = trial % 5 + 1
