@@ -80,12 +80,6 @@ def _verdict(witness, describe) -> int:
     return 1
 
 
-def _fmt_number(value) -> str:
-    if hasattr(value, "denominator") and value.denominator == 1:
-        return str(value.numerator)
-    return str(value)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eqkit",
@@ -246,7 +240,7 @@ def _run_bounds(args) -> int:
     )
     values = [(name, getattr(report, name)) for name in names]
     sys.stdout.write(
-        "".join(f"{name}={_fmt_number(v)}\n" for name, v in values if v is not None)
+        "".join(f"{name}={v}\n" for name, v in values if v is not None)
     )
     return 0
 

@@ -11,8 +11,8 @@ import hashlib
 import math
 from typing import Optional
 
-from .matrix import IntMatrix
-from .verify import is_rmds
+from .matrix import AlphabetSpec, IntMatrix
+from .verify import _check_cap, _theorem3_bound, is_rmds
 
 _WORD_MAX = 1 << 64
 
@@ -68,16 +68,8 @@ def theorem3_rate_cap(weight: int) -> int:
 
 
 def _exceeds_rate_cap(r: int, weight: int) -> bool:
-    """r > theorem3_rate_cap(weight), without building a huge cap.
-
-    For k = 2W+1 >= 3 the cap k^(k+1) is at least 2^((k+1)(bits(k)-1)), so
-    an r with no more bits never exceeds it; otherwise k+1 <= bits(r) and
-    the exact cap has fewer than 2 bits(r) bits.
-    """
-    k = 2 * weight + 1
-    if k >= 3 and r.bit_length() <= (k + 1) * (k.bit_length() - 1):
-        return False
-    return r > theorem3_rate_cap(weight)
+    """r > theorem3_rate_cap(weight), without building a cap much longer than r."""
+    return _theorem3_bound(2 * weight + 1, r - 1) is not None
 
 
 def search_rmds(
@@ -94,7 +86,8 @@ def search_rmds(
 
     Returns (matrix, attempts) on success and (None, max_attempts) when the
     budget is exhausted.  Parameter sets whose rate exceeds the alphabet-size
-    bound are refused outright, since no such matrix exists.
+    bound are refused outright, since no such matrix exists.  The cap is
+    charged once, as is_rmds charges each candidate, before any is sampled.
     """
     if n < 1 or m < 1 or r < 1:
         raise ValueError("n, m and r must be positive")
@@ -108,6 +101,8 @@ def search_rmds(
             f"MDS rate {r} exceeds the alphabet-size bound {rate_cap} "
             f"for weight {weight}; no such matrix exists"
         )
+    AlphabetSpec(q)  # rejects q < 2 before the cap, as is_rmds does
+    _check_cap(math.comb(r * m, m) * q**n, cap)
     for attempt in range(max_attempts):
         candidate = sample_matrix(r * m, n, weight, seed, attempt)
         if is_rmds(candidate, m, q, cap=cap) is None:

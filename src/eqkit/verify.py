@@ -9,9 +9,10 @@ ordered -(q-1) < ... < q-1.
 
 One meet-in-the-middle engine, _kernel_search, names every EQ witness: the
 kernel vector of smallest rank in the counter order (the first kernel
-vector) or the collision order (the first colliding pair of encodings).  A
-table of at most 2^20 low vectors and a chunked high scan bound its memory
-at any cap, which is still charged (2q-1)^n (kernel) or q^n (injectivity).
+vector) or the collision order (the first colliding pair of encodings).  Its
+low table and one chunk of its high scan share the _CHUNK_BYTES ceiling that
+also bounds is_rmds's product and circuit checks, so memory stays bounded at
+any cap, which is still charged (2q-1)^n (kernel) or q^n (injectivity).
 
 is_rmds decides all m-row blocks at once from the zero pattern of A x over
 one vector of each +-x pair, unless checking the blocks one by one with the
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -41,8 +43,6 @@ from .matrix import (
 
 DEFAULT_STEP_CAP = 10**8
 
-_CHUNK = 1 << 15
-_TABLE_ROWS = 1 << 20
 _GRID_ROWS = 1 << 12
 
 
@@ -72,7 +72,7 @@ class RmdsWitness:
 
     The kernel witness, the block's first encoding-collision difference, is
     found on first use by the engine in the collision order, in memory
-    bounded by its low table: a caller that needs only the rows never pays.
+    bounded by its ceiling: a caller that needs only the rows never pays.
     """
 
     rows: tuple[int, ...]
@@ -173,11 +173,14 @@ def _kernel_search(a: IntMatrix, q: int, collision: bool = False) -> Optional[Co
     encodings (earlier, later) = (d+, d-).  Meet in the middle
     (Horowitz-Sahni) on the counter v = v_low + base**low * v_high: the low
     table sorts the keys c_L.x_L; the high counters below the zero vector's
-    (x_high with a negative top) are scanned in chunks of at most _CHUNK for
-    -c_H.x_H, the negated keys of the first high coordinates minus one
-    scalar per chunk; x_high = 0 needs a nonzero low part with key 0 and a
-    negative top.  Ranks are built at the first hit: each key then takes its
-    low part of smallest rank, and chunks that cannot beat the best are skipped.
+    (x_high with a negative top) are scanned in chunks for -c_H.x_H, the
+    negated keys of the first high coordinates minus one scalar per chunk;
+    x_high = 0 needs a nonzero low part with key 0 and a negative top.  The
+    table takes up to ceil(n/2) coordinates and a chunk the rows it leaves,
+    so that both stay under _CHUNK_BYTES (unless a single row passes it),
+    and a chunk never holds more high counters than the scan covers.  Ranks
+    are built at the first hit: each key then takes its low part of smallest
+    rank, and chunks that cannot beat the best are skipped.
     """
     n, base, values = a.n, 2 * q - 1, range(1 - q, q)
     coef = _packed_row(a, q)
@@ -185,19 +188,27 @@ def _kernel_search(a: IntMatrix, q: int, collision: bool = False) -> Optional[Co
     # minus the zero vector's, or counter(x+) + q^n counter(x-) in base q.
     pos = [(q if collision else base) ** i for i in range(n)]
     neg = [q**n * p if collision else -p for p in pos]
+    dtype = np.int64 if (q - 1) * sum(map(abs, neg)) < _INT64_SAFE else object
+    # Bytes per table row: its key, sorted key, rank and sort index; per chunk
+    # row: its head key, target, search index, found key and head rank, and a
+    # hit flag.  A key or rank past int64 adds a 128-bit Python int.
+    key_int, rank_int = 44 * (coef.dtype == object), 44 * (dtype is object)
+    table_row, chunk_row = 32 + key_int + rank_int, 41 + 2 * key_int + rank_int
     low = (n + 1) // 2
-    while base**low > _TABLE_ROWS:
+    while low and base**low * table_row + chunk_row > _CHUNK_BYTES:
         low -= 1
     keys = _keys(coef[:low], values)
     table = np.sort(keys)
     high, span = n - low, 0
-    while span < high and base ** (span + 1) <= _CHUNK:
+    zero_high, best = (base**high - 1) // 2, (math.inf, 0)  # (rank, counter)
+    # A chunk takes the rows the table leaves, but no more than the scan covers.
+    rows = min(zero_high, (_CHUNK_BYTES - base**low * table_row) // chunk_row)
+    while base ** (span + 1) <= rows:
         span += 1
     head, top = -_keys(coef[low : low + span], values), low + span
 
     @lru_cache(maxsize=None)
     def ranked():
-        dtype = np.int64 if (q - 1) * sum(map(abs, neg)) < _INT64_SAFE else object
         sums = [np.zeros(1, dtype), np.zeros(1, dtype)]  # the low part, the head part
         for i, p, g in zip(range(top), pos, neg):
             term = np.array([p * max(v, 0) + g * max(-v, 0) for v in values], dtype)
@@ -207,7 +218,6 @@ def _kernel_search(a: IntMatrix, q: int, collision: bool = False) -> Optional[Co
         # its low part of smallest rank.
         return ranks, np.lexsort((ranks, keys)), head_ranks, ranks.min() + head_ranks.min()
 
-    zero_high, best = (base**high - 1) // 2, (math.inf, 0)  # (rank, counter)
     zeros = np.flatnonzero(keys[: (base**low - 1) // 2] == 0)
     if zeros.size:
         v_low = int(zeros[np.argmin(ranked()[0][zeros])])
@@ -392,24 +402,37 @@ def bounds_report(
     """Closed-form bound and rate figures for the given parameters.
 
     The norm bound (sqrt(n)*W)^(m/(n-m)) is reported only when n > m >= 1
-    and a weight is supplied; otherwise it is flagged absent (None).
+    and a weight is supplied; otherwise it is flagged absent (None).  A float
+    figure past the float range, or a Theorem 3 bound too long to print, is
+    refused with ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     siegel = None
     if m is not None and weight is not None and n > m >= 1:
-        siegel = (math.sqrt(n) * weight) ** (m / (n - m))
+        try:
+            siegel = (math.sqrt(n) * weight) ** (m / (n - m))
+        except OverflowError:
+            raise ValueError("siegel_norm_bound does not fit a float") from None
     mds_bound = None
     if alphabet_size is not None:
         if alphabet_size < 1:
             raise ValueError("alphabet size must be >= 1")
-        mds_bound = alphabet_size ** (alphabet_size + 1)
+        # A bound too long to print is refused before it is built.
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        s = alphabet_size
+        mds_bound = _theorem3_bound(s, 10**digits - 1) if digits else s ** (s + 1)
+        if mds_bound is None:
+            raise ValueError(f"theorem3_mds_bound has more than {digits} digits")
     r_constr = r_upper = ratio = None
     if k_iter is not None:
         if k_iter < 0:
             raise ValueError("construction iteration count must be >= 0")
         r_constr = Fraction(k_iter, 2) + 1
-        r_upper = (k_iter + 1 + math.log2(k_iter + 2)) / 2
+        try:
+            r_upper = (k_iter + 1 + math.log2(k_iter + 2)) / 2
+        except OverflowError:
+            raise ValueError("r_upper does not fit a float") from None
         ratio = r_upper / float(r_constr)
     return BoundsReport(
         n=n,
@@ -422,6 +445,18 @@ def bounds_report(
         r_upper=r_upper,
         ratio=ratio,
     )
+
+
+def _theorem3_bound(k: int, limit: int) -> Optional[int]:
+    """k^(k+1), Theorem 3's bound for an alphabet of size k, or None above limit.
+
+    k^(k+1) >= 2^((k+1)(bits(k)-1)), so a bound with that many bits is
+    refused unbuilt; any other, for k >= 2, has fewer than 2 bits(limit) bits.
+    """
+    if (k + 1) * (k.bit_length() - 1) >= limit.bit_length():
+        return None
+    bound = k ** (k + 1)
+    return bound if bound <= limit else None
 
 
 def crt_residue_check(
@@ -438,6 +473,8 @@ def crt_residue_check(
         raise ValueError("vector length does not match the matrix")
     if sum(int(v) << i for i, v in enumerate(x)) != 0:
         raise ValueError("x is not a kernel vector of the power-of-two weights")
+    if min(primes) < 2:
+        raise ValueError("primes must be >= 2")
     image = matvec(a, x)
     for i, (p, z) in enumerate(zip(primes, image)):
         if z % p:

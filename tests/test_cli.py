@@ -14,6 +14,7 @@ from eqkit import (
     matvec,
     read_circuit,
     read_matrix,
+    search,
     write_matrix,
 )
 from eqkit.cli import main
@@ -743,6 +744,53 @@ def test_circuit_file_takes_python_integer_literals(capsys, tmp_path):
     circuit_file.write_text(_HEAD + "3 LT 0 1:1_0 +2:-3\n")
     argv = ("circuit", "eval", str(circuit_file), "--input", "1 1")
     assert run(capsys, *argv) == (0, "1\n", "")
+
+
+_BIG = "7" * 400
+_CRT = str(FIXTURES / "crt_4x8.txt")
+_CRT_X = ("--x", "2 1 1 3 0 1 -1 0")
+_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("bounds", "--n", "2", "--m", "1", "--w", _BIG), "siegel_norm_bound does not fit a float"),
+        (("bounds", "--n", "1000", "--m", "999", "--w", "1000"), "siegel_norm_bound does not fit a float"),
+        (("bounds", "--n", _BIG, "--m", "1", "--w", "1"), "siegel_norm_bound does not fit a float"),
+        (("bounds", "--n", "3", "--k-iter", _BIG), "r_upper does not fit a float"),
+        pytest.param(
+            ("bounds", "--n", "8", "--alphabet-size", str(10**9)),
+            f"theorem3_mds_bound has more than {_STR_DIGITS} digits",
+            marks=pytest.mark.skipif(not _STR_DIGITS, reason="no int-to-str digit limit"),
+        ),
+        (("residue-check", _CRT, "--primes", "0", "0", "0", "0", *_CRT_X), "primes must be >= 2"),
+        (("residue-check", _CRT, "--primes", "1", "5", "7", "11", *_CRT_X), "primes must be >= 2"),
+        (("residue-check", _CRT, "--primes", "3", "5", "-3", "11", *_CRT_X), "primes must be >= 2"),
+        (
+            ("search", "rmds", "--n", "200000", "--m", "1", "--r", "1", "--q", "2", "--w", "1",
+             "--seed", "0", "--max-attempts", "5"),
+            "enumeration needs at least 2^200000 elementary steps, cap allows 100000000",
+        ),
+        (("--threads", "0", "bounds", "--n", "2"), "--threads must be at least 1, got 0"),
+        (("--cap", "-1", "verify", "eq", "--q", "2", _CRT), "enumeration needs 6561 elementary steps, cap allows -1"),
+        (("verify", "eq", "--q", "2", "no/such/matrix.txt"), None),
+        (("decode", _CRT, "--z", "0 0 0 0"), "decode needs a matrix file with a trace comment"),
+    ],
+)
+def test_no_argument_ends_in_a_traceback(capsys, monkeypatch, argv, message):
+    # Every case is refused up front: none may sample a search candidate.
+    def refuse(*args):
+        raise AssertionError("a candidate was sampled")
+
+    monkeypatch.setattr(search, "sample_matrix", refuse)
+    code, out, err = run(capsys, *argv)  # an exception escaping main fails here
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    if message is not None:
+        assert (code, err) == (2, f"error: {message}\n")
 
 
 def test_usage_error_exit_code():

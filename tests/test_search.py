@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import pytest
 
@@ -152,8 +153,14 @@ def test_rate_cap_is_compared_by_bit_length(monkeypatch):
         raise AssertionError("the exact rate cap was built")
 
     monkeypatch.setattr(search, "theorem3_rate_cap", refuse)
-    found, attempts = search_rmds(4, 2, 4, 3, 4 * 10**5, seed=0, max_attempts=1)
+    tracemalloc.start()
+    try:
+        found, attempts = search_rmds(4, 2, 4, 3, 4 * 10**5, seed=0, max_attempts=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert attempts == 1
+    assert peak < 1 << 20  # the cap alone takes 2 MB
 
 
 def test_rate_cap_comparison_is_exact_at_the_edge():

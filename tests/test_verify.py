@@ -117,16 +117,14 @@ def test_witness_within_one_half(rows, q, witness):
     assert is_eq_q(IntMatrix.from_rows(rows), q, mode="kernel").x == witness
 
 
-@pytest.mark.parametrize(
-    "table_rows, chunk, grid_rows", [(1, 1, 1), (3, 2, 3), (9, 5, 1), (30, 40, 9)]
-)
-def test_uneven_split_and_small_chunks(monkeypatch, table_rows, chunk, grid_rows):
-    # A low table capped below ceil(n/2) coordinates, high chunks of a few
-    # rows and keys built mostly by broadcast adds must give the same witnesses.
-    monkeypatch.setattr(verify, "_TABLE_ROWS", table_rows)
-    monkeypatch.setattr(verify, "_CHUNK", chunk)
+@pytest.mark.parametrize("chunk_bytes, grid_rows", [(1, 1), (200, 3), (1000, 1), (4000, 9)])
+def test_uneven_split_and_small_chunks(monkeypatch, chunk_bytes, grid_rows):
+    # Under these ceilings the split runs from a one-row table and one-row
+    # chunks up to a table below ceil(n/2) coordinates with chunks of a few
+    # rows; keys built mostly by broadcast adds must give the same witnesses.
+    monkeypatch.setattr(verify, "_CHUNK_BYTES", chunk_bytes)
     monkeypatch.setattr(verify, "_GRID_ROWS", grid_rows)
-    rng = random.Random(table_rows * 100 + chunk)
+    rng = random.Random(chunk_bytes)
     cases = [IntMatrix.from_rows(rows) for rows, _, _ in HALF_CASES]
     for _ in range(25):
         cases.append(_random_matrix(rng, rng.randint(1, 3), rng.randint(1, 6)))
@@ -174,6 +172,23 @@ def test_oracle_memory_stays_small():
     result, peak = _peak_bytes(lambda: is_eq_q(a, 2, mode="kernel"))
     assert result is None
     assert peak < 8 << 20
+
+
+@pytest.mark.parametrize("spread", [1000, 10**9])
+def test_exact_search_stays_under_the_chunk_ceiling(monkeypatch, spread):
+    # Entries near 2^59 put the 1x16 row on the exact path: the table and one
+    # chunk of Python ints must share the ceiling.
+    rng = random.Random(spread)
+    a = IntMatrix.from_rows([[(1 << 59) + rng.randint(-spread, spread) for _ in range(16)]])
+    assert verify._packed_row(a, 2).dtype == object
+    wants = {mode: is_eq_q(a, 2, mode=mode) for mode in ("kernel", "injectivity")}
+    monkeypatch.setattr(verify, "_CHUNK_BYTES", 256 << 10)
+    for mode, want in wants.items():
+        # The untraced call also builds this split's cached digit grids.
+        assert is_eq_q(a, 2, mode=mode) == want
+        got, peak = _peak_bytes(lambda: is_eq_q(a, 2, mode=mode))
+        assert got == want
+        assert peak < 256 << 10
 
 
 def test_failing_witness_memory_stays_small(crt_7x20_repeated):
@@ -434,7 +449,7 @@ def test_rmds_routes_match_brute_force(monkeypatch, route, q, m):
     if route == "blocks split":
         # The block loop with a one-row low table, chunks and grids, so each
         # block decision and witness runs the engine's split.
-        for name in ("_TABLE_ROWS", "_CHUNK", "_GRID_ROWS"):
+        for name in ("_CHUNK_BYTES", "_GRID_ROWS"):
             monkeypatch.setattr(verify, name, 1)
     rng = random.Random(100 * q + 10 * m + len(route))
     for trial in range(24):
