@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .matrix import _CHUNK_BYTES, _INT64_SAFE, _LIMIT, IntMatrix, checked
+from .matrix import _CHUNK_BYTES, _INT64_SAFE, _LIMIT, IntMatrix, _checked_sum, checked
 from .verify import _check_cap, _keys, is_eq_q, is_rmds
 
 INPUT = "INPUT"
@@ -163,9 +163,8 @@ def eval_circuit(
         raise ValueError("assignment entries must be bits")
     values: dict[int, int] = dict(zip(c.inputs, (int(b) for b in assignment)))
     for g in c.ordered_gates:
-        acc = 0
-        for src, w in g.fan_in:
-            acc = checked(acc + checked(w * values[src]))
+        terms = [w * values[src] for src, w in g.fan_in]
+        acc = _checked_sum(terms, sum(map(abs, terms)))
         if g.kind == LT:
             values[g.gid] = 1 if acc >= g.bias else 0
         elif g.kind == EXACT:
@@ -406,6 +405,8 @@ def compile_comp_circuit(
                 f"matrix failed the RMDS_3 check (rows {witness.rows}, kernel "
                 f"{witness.kernel.x}); pass verify=False to compile anyway"
             )
+    # Fan-in pairs: r*m*n layer gates of at most 2n each, and the top gate's.
+    _check_cap(r * m * n * (2 * n + 1), cap)
     layer = [
         (_difference_fan(a, i, level), -a[i, level])
         for level in range(n)

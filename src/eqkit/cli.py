@@ -7,6 +7,7 @@ printed), 2 on usage, format, cap, or overflow errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -189,6 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reuses: building one costs far more than a parse."""
+    return build_parser()
+
+
 def _run_construct(args) -> int:
     # The matrix's entries are charged against the cap before any is built.
     if args.family == "crt":
@@ -343,7 +350,7 @@ _HANDLERS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")

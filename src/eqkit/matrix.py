@@ -36,6 +36,16 @@ def checked(value: int) -> int:
     return value
 
 
+def _checked_sum(terms: Iterable[int], bound: int) -> int:
+    """sum(terms) given bound >= sum(|t|); past the budget, every step is checked."""
+    if bound < _LIMIT:
+        return sum(terms)
+    acc = 0
+    for t in terms:
+        acc = checked(acc + checked(t))
+    return acc
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable row-major signed-integer matrix with a cached weight bound."""
@@ -162,17 +172,8 @@ def matvec(a: IntMatrix, x: Sequence[int]) -> tuple[int, ...]:
     if len(x) != a.n:
         raise ValueError(f"vector length {len(x)} does not match {a.m}x{a.n} matrix")
     x = tuple(map(int, x))
-    if a.weight_bound * sum(map(abs, x)) < _LIMIT:
-        # No product or partial sum can reach the budget: sum at C speed.
-        return tuple(sum(map(operator.mul, row, x)) for row in a.entries)
-    out = []
-    for row in a.entries:
-        acc = 0
-        for coeff, xi in zip(row, x):
-            if coeff and xi:
-                acc = checked(acc + checked(coeff * xi))
-        out.append(acc)
-    return tuple(out)
+    bound = a.weight_bound * sum(map(abs, x))
+    return tuple(_checked_sum(map(operator.mul, row, x), bound) for row in a.entries)
 
 
 _TRACE_RE = re.compile(

@@ -408,6 +408,8 @@ def bounds_report(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if weight is not None and weight < 0:
+        raise ValueError("weight bound must be >= 0")
     siegel = None
     if m is not None and weight is not None and n > m >= 1:
         try:

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to cross-check the library.
 
-Everything here is deliberately naive: plain loops over itertools.product
-and cofactor expansion, sharing no code with the implementations under test.
+Everything here is deliberately naive: plain loops over itertools.product,
+cofactor expansion and one gate at a time, sharing no code with the
+implementations under test.
 """
 
 from __future__ import annotations
@@ -96,3 +97,49 @@ def block_recursion(base, q, k):
             for r in range(q * m)
         ]
     return rows
+
+
+class BudgetError(ArithmeticError):
+    """A product, partial sum or SUM value reached 2**127 in magnitude."""
+
+
+def _in_budget(v):
+    if abs(v) >= 1 << 127:
+        raise BudgetError(f"|{v}| exceeds the 2^127 budget")
+    return v
+
+
+def eval_gates(gates, inputs, bits):
+    """Every gate's value on one assignment; gates maps gid -> (kind, fan_in, bias).
+
+    Gates run in Kahn order: those without fan-in by id, then, for each gate
+    in turn, the consumers whose last source it was, by id.  Every product
+    and partial sum is checked in fan-in order, and a SUM gate's value after
+    its bias is added.
+    """
+    values = dict(zip(inputs, bits))
+    waiting = {gid: len(fan) for gid, (_, fan, _) in gates.items()}
+    order = sorted(gid for gid, count in waiting.items() if count == 0)
+    for gid in order:
+        freed = []
+        for other, (_, fan, _) in gates.items():
+            for src, _ in fan:
+                if src == gid:
+                    waiting[other] -= 1
+                    if waiting[other] == 0:
+                        freed.append(other)
+        order.extend(sorted(freed))
+    for gid in order:
+        kind, fan, bias = gates[gid]
+        if kind == "INPUT":
+            continue
+        acc = 0
+        for src, w in fan:
+            acc = _in_budget(acc + _in_budget(w * values[src]))
+        if kind == "LT":
+            values[gid] = int(acc >= bias)
+        elif kind == "EXACT":
+            values[gid] = int(acc == bias)
+        else:
+            values[gid] = _in_budget(acc + bias)
+    return values

@@ -27,6 +27,7 @@ from eqkit import (
 )
 from eqkit import circuit as circuit_module
 from eqkit import verify
+from oracles import BudgetError, eval_gates
 
 
 def naive_eval(c, assignment):
@@ -381,6 +382,43 @@ def test_circuit_text_round_trip(c, data):
         assert got == _evaluated(c, assignment)
         if isinstance(got, int):
             assert got == naive_eval(c, assignment)
+
+
+def _near_budget(rng):
+    """A small weight or bias, or one within 3 of +-2**126, +-2**125 or +-2**70."""
+    if rng.random() < 0.35:
+        return rng.randint(-3, 3)
+    base = rng.choice((B, B, B >> 1, 1 << 70))
+    return rng.choice((-1, 1)) * base + rng.randint(-3, 3)
+
+
+def test_eval_circuit_matches_the_checked_oracle():
+    # The circuit checks replay eval_circuit as their row-by-row reference,
+    # so its budget-checked sum is held here against an evaluator of its own.
+    rng = random.Random(127)
+    raised = 0
+    for _ in range(3000):
+        k = rng.randint(1, 4)
+        ids = rng.sample(range(1, 40), k + rng.randint(1, 6))
+        gates = {gid: ("INPUT", (), 0) for gid in ids[:k]}
+        for t, gid in enumerate(ids[k:], k):
+            count = rng.randint(0, 5)
+            fan = tuple((rng.choice(ids[:t]), _near_budget(rng)) for _ in range(count))
+            gates[gid] = (rng.choice(("LT", "EXACT", "SUM")), fan, _near_budget(rng))
+        listed = [Gate(gid, *gate) for gid, gate in gates.items()]
+        rng.shuffle(listed)
+        c = ThresholdCircuit(listed, ids[:k], rng.choice(ids))
+        bits = [rng.randint(0, 1) for _ in range(k)]
+        try:
+            want = eval_gates(gates, ids[:k], bits)
+        except BudgetError as exc:
+            raised += 1
+            with pytest.raises(MagnitudeError) as info:
+                eval_circuit(c, bits)
+            assert str(info.value) == str(exc)
+        else:
+            assert eval_circuit(c, bits, want_trace=True) == (want[c.output], want)
+    assert 500 < raised < 2500
 
 
 def test_read_circuit_rejects_malformed_text():

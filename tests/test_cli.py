@@ -647,6 +647,34 @@ def test_circuit_compile_comp_cli(capsys, tmp_path):
     assert out == "PASS\n"
 
 
+def test_compile_comp_charges_its_pairs(capsys, tmp_path):
+    # n = r = 40, m = 1: 1,600 layer gates of at most 80 fan-in pairs, and
+    # a top gate of 1,600, so 40 * 40 * 81 = 129,600 pairs.
+    matrix_file = tmp_path / "square.txt"
+    matrix_file.write_text("40 40\n" + (" ".join(["1"] * 40) + "\n") * 40)
+    circuit_file = tmp_path / "comp.circ"
+    argv = ("circuit", "compile-comp", str(matrix_file), "--n", "40", "--m", "1",
+            "--r", "40", "--unchecked", "--out", str(circuit_file))
+    refused = "error: enumeration needs 129600 elementary steps, cap allows 129599\n"
+    assert run(capsys, "--cap", "129599", *argv) == (2, "", refused)
+    assert not circuit_file.exists()
+    assert run(capsys, "--cap", "129600", *argv) == (0, "", "")
+    assert read_circuit(circuit_file.read_text()).gate_count == 1601
+
+
+def test_main_builds_one_parser(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        assert run(capsys, "bounds", "--n", "2")[0] == 0
+        assert run(capsys, "bounds", "--n", "3")[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+
+
 def test_circuit_check_reports_mismatch(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2\n1 1\n")
@@ -759,6 +787,7 @@ _STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         (("bounds", "--n", "1000", "--m", "999", "--w", "1000"), "siegel_norm_bound does not fit a float"),
         (("bounds", "--n", _BIG, "--m", "1", "--w", "1"), "siegel_norm_bound does not fit a float"),
         (("bounds", "--n", "3", "--k-iter", _BIG), "r_upper does not fit a float"),
+        (("bounds", "--n", "5", "--m", "2", "--w", "-3"), "weight bound must be >= 0"),
         pytest.param(
             ("bounds", "--n", "8", "--alphabet-size", str(10**9)),
             f"theorem3_mds_bound has more than {_STR_DIGITS} digits",
