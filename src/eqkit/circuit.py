@@ -13,11 +13,14 @@ EXACT gates on the longest input-to-output path; SUM gates are wiring.
 
 from __future__ import annotations
 
+import re
 import sys
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import accumulate, chain, repeat
+from operator import itemgetter, neg
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -30,14 +33,36 @@ LT = "LT"
 EXACT = "EXACT"
 SUM = "SUM"
 _KINDS = (INPUT, LT, EXACT, SUM)
+_CODE = {kind: code for code, kind in enumerate(_KINDS)}
 
 # exhaustive_check streams chunks of at most 2**_MAX_CHUNK_BITS assignments,
 # fewer when a chunk's tables and gate arrays would pass _CHUNK_BYTES.
 _MAX_CHUNK_BITS = 16
 
+# Building a circuit maps sources to rows, and frees each level's consumers, in
+# runs of this many edges, so the temporaries stay small next to the columns.
+_RUN_EDGES = 1 << 14
+
+# A fan-in text that np.fromstring reads as int() does: src:weight pairs of
+# at most 18 ASCII digits each (so below 2**62), apart by spaces or tabs.
+_PLAIN = re.compile(r"(?:-?[0-9]{1,18}:-?[0-9]{1,18}(?:[ \t]+|\Z))*")
+
 
 class CircuitFormatError(ValueError):
     """Circuit text does not conform to the file format."""
+
+
+def _check_kind(kind: str, fanned: bool) -> None:
+    if kind not in _KINDS:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    if kind == INPUT and fanned:
+        raise ValueError("INPUT gates take no fan-in")
+
+
+def _check_weights(weights: Sequence[int]) -> None:
+    if weights and (max(weights) >= _LIMIT or min(weights) <= -_LIMIT):
+        for w in weights:  # name the first weight out of budget
+            checked(w)
 
 
 @dataclass(frozen=True)
@@ -48,77 +73,222 @@ class Gate:
     bias: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.kind == INPUT and self.fan_in:
-            raise ValueError("INPUT gates take no fan-in")
+        _check_kind(self.kind, bool(self.fan_in))
         fan = tuple(self.fan_in)
         sources, weights = zip(*fan, strict=True) if fan else ((), ())
         # Pairs that are already tuples of exact ints are kept, not copied.
         if set(map(type, fan + sources + weights)) != {tuple, int}:
             weights = tuple(map(int, weights))
             fan = tuple(zip(map(int, sources), weights))
-        if weights and (max(weights) >= _LIMIT or min(weights) <= -_LIMIT):
-            for w in weights:  # name the first weight out of budget
-                checked(w)
+        _check_weights(weights)
         object.__setattr__(self, "fan_in", fan)
         object.__setattr__(self, "bias", checked(int(self.bias)))
 
 
+def _column(values: Sequence[int]) -> np.ndarray:
+    """values as int64 when each lies below _INT64_SAFE in magnitude, else as exact ints."""
+    try:
+        col = np.array(values, dtype=np.int64)
+        if not col.size or (col.max() < _INT64_SAFE and col.min() > -_INT64_SAFE):
+            return col
+    except OverflowError:
+        pass
+    return np.array(values, dtype=object)
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The concatenation of range(starts[i], stops[i]) over i."""
+    lengths = stops - starts
+    out = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    out += np.arange(out.size)
+    return out
+
+
+def _kahn(indptr: np.ndarray, src: np.ndarray, keys: np.ndarray) -> list[np.ndarray]:
+    """The rows in Kahn order as batches, one per longest-path level.
+
+    Kahn's queue starts with the rows without fan-in by gid (keys); each
+    dequeued row frees the consumers whose last source it was, by gid.  So
+    a freed row sorts by (position of its last source, gid), and a whole
+    level is ordered in one step, with no Python step per edge.  Each level
+    scans the source column once, so a deep circuit costs a pass per level.
+    """
+    size = indptr.size - 1
+    waiting = indptr[1:] - indptr[:-1]
+    dst = np.arange(size, dtype=src.dtype).repeat(waiting)
+    batch = (waiting == 0).nonzero()[0]
+    batch = batch[keys[batch].argsort()]
+    pos = np.full(size, -1)  # -1 until placed
+    last = np.zeros(size, dtype=np.int64)  # the position of a row's last source
+    levels, done = [], 0
+    while batch.size:
+        levels.append(batch)
+        start, done = done, done + batch.size
+        pos[batch] = np.arange(start, done)
+        if done == size:
+            break
+        for lo in range(0, src.size, _RUN_EDGES):
+            at = pos[src[lo : lo + _RUN_EDGES]]
+            edges = (at >= start).nonzero()[0]  # the run's edges out of this batch
+            freeing = dst[lo : lo + _RUN_EDGES][edges]
+            waiting -= np.bincount(freeing, minlength=size)
+            np.maximum.at(last, freeing, at[edges])
+        batch = ((waiting == 0) & (pos < 0)).nonzero()[0]
+        batch = batch[np.lexsort((keys[batch], last[batch]))]
+    if done < size:
+        raise ValueError("circuit contains a cycle")
+    return levels
+
+
+def _apply(code: np.ndarray, acc: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Gate values from fan-in sums: LT and EXACT give 0 or 1, SUM adds its bias."""
+    fired = np.where(code == _CODE[LT], acc >= bias, acc == bias).astype(np.int64)
+    return np.where(code == _CODE[SUM], acc + bias, fired)
+
+
 class ThresholdCircuit:
-    """Immutable DAG of gates with one designated output."""
+    """Immutable DAG of gates with one designated output, stored by columns.
+
+    Row r is a gate: gid, kind and bias, and its fan-in in CSR form, the
+    edges indptr[r]:indptr[r+1] of the source-row and weight columns.  Rows
+    keep the order the gates came in.  Weights are int64, or exact ints
+    when one of them (in a file, any fan-in integer) reaches 2**62.  Gate
+    objects are a view, built on first use.
+    """
 
     def __init__(self, gates: Iterable[Gate], inputs: Sequence[int], output: int):
-        gate_map: dict[int, Gate] = {}
-        for g in gates:
-            if g.gid in gate_map:
-                raise ValueError(f"duplicate gate id {g.gid}")
-            gate_map[g.gid] = g
+        gates = list(gates)
+        fans = [g.fan_in for g in gates]
+        counts = list(map(len, fans))
+        self._build(
+            [g.gid for g in gates],
+            [g.kind for g in gates],
+            [g.bias for g in gates],
+            counts,
+            _column(list(map(itemgetter(0), chain.from_iterable(fans)))),
+            _column(list(map(itemgetter(1), chain.from_iterable(fans)))),
+            inputs,
+            output,
+        )
+        self._gate_map = dict(zip(self._gids, gates))
+        self._batches  # a cycle raises here
+
+    def _build(self, gids, kinds, biases, counts, sources, weights, inputs, output) -> None:
+        """Check the ids, inputs, output and sources of gates whose own fields
+        are checked, then store the columns.  sources and weights list the
+        fan-in edges gate by gate, sources by gid."""
+        row: dict[int, int] = {}
+        for r, gid in enumerate(gids):
+            if gid in row:
+                raise ValueError(f"duplicate gate id {gid}")
+            row[gid] = r
         inputs = tuple(inputs)
         listed = set(inputs)
         for gid in inputs:
-            if gid not in gate_map or gate_map[gid].kind != INPUT:
+            if gid not in row or kinds[row[gid]] != INPUT:
                 raise ValueError(f"input id {gid} is not an INPUT gate")
         if len(listed) != len(inputs):
             raise ValueError("input ids must not repeat")
-        for g in gate_map.values():
-            if g.kind == INPUT and g.gid not in listed:
-                raise ValueError(f"INPUT gate {g.gid} is missing from the input list")
-        if output not in gate_map:
+        for gid, kind in zip(gids, kinds):
+            if kind == INPUT and gid not in listed:
+                raise ValueError(f"INPUT gate {gid} is missing from the input list")
+        if output not in row:
             raise ValueError(f"output id {output} does not exist")
-        self._gates = gate_map
-        self._inputs = inputs
-        self._output = output
-        self._order = self._topological_order()
-        self._ordered = tuple(
-            gate_map[gid] for gid in self._order if gate_map[gid].kind != INPUT
-        )
+        size = len(gids)
+        indptr = np.fromiter(accumulate(counts, initial=0), dtype=np.int64, count=size + 1)
+        # Map each source gid to its row through the rows sorted by gid.
+        keys = _column(gids)
+        if keys.dtype != sources.dtype:
+            keys, sources = keys.astype(object), sources.astype(object)
+        by_gid = keys.argsort(kind="stable")
+        ordered = keys[by_gid]
+        # Rows fit the smallest signed int type: a small source column.
+        by_gid = by_gid.astype(np.min_scalar_type(-size))
+        runs = [by_gid[:0]]
+        for lo in range(0, sources.size, _RUN_EDGES):
+            run = sources[lo : lo + _RUN_EDGES]
+            at = ordered.searchsorted(run)
+            if (ordered.take(at, mode="clip") != run).any():
+                edge = lo + int((ordered.take(at, mode="clip") != run).argmax())
+                gid = gids[int(indptr.searchsorted(edge, side="right")) - 1]
+                raise ValueError(f"gate {gid} references missing source {sources[edge]}")
+            runs.append(by_gid[at])
+        src = np.concatenate(runs)
+        self._gids, self._kinds, self._biases = gids, kinds, biases
+        self._inputs, self._output, self._row = inputs, output, row
+        self._indptr, self._src, self._weights = indptr, src, weights
+        self._keys, self._by_gid = keys, by_gid
+        self._code = np.array([_CODE[kind] for kind in kinds], dtype=np.int8)
 
-    def _topological_order(self) -> tuple[int, ...]:
-        indegree = {gid: len(g.fan_in) for gid, g in self._gates.items()}
-        consumers: dict[int, list[int]] = {gid: [] for gid in self._gates}
-        try:
-            for gid, g in self._gates.items():
-                for src, _ in g.fan_in:
-                    consumers[src].append(gid)
-        except KeyError:
-            raise ValueError(f"gate {gid} references missing source {src}") from None
-        # The order is also the queue: the loop visits the gids extended onto it.
-        order = sorted(gid for gid, d in indegree.items() if d == 0)
-        for gid in order:
-            inserted = []
-            for nxt in consumers[gid]:
-                indegree[nxt] -= 1
-                if indegree[nxt] == 0:
-                    inserted.append(nxt)
-            order.extend(sorted(inserted))
-        if len(order) != len(self._gates):
-            raise ValueError("circuit contains a cycle")
-        return tuple(order)
+    @cached_property
+    def _gate_map(self) -> dict[int, Gate]:
+        sources = np.array(self._gids, dtype=object)[self._src].tolist()
+        weights = self._weights.tolist()
+        bounds = self._indptr.tolist()
+        return {
+            gid: Gate(gid, kind, tuple(zip(sources[a:b], weights[a:b])), bias)
+            for gid, kind, bias, a, b in zip(
+                self._gids, self._kinds, self._biases, bounds, bounds[1:]
+            )
+        }
+
+    @cached_property
+    def _batches(self) -> list[np.ndarray]:
+        """The rows in Kahn order, one batch per level; built at construction
+        unless the circuit is acyclic by construction."""
+        return _kahn(self._indptr, self._src, self._keys)
+
+    @cached_property
+    def _order(self) -> np.ndarray:
+        return np.concatenate(self._batches)
+
+    @cached_property
+    def _ordered_rows(self) -> np.ndarray:
+        return self._order[self._code[self._order] != _CODE[INPUT]]
+
+    @cached_property
+    def _levels(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Per level after the first: rows, then their fan-in as sources, weights
+        and segment starts, in the layout np.add.reduceat takes."""
+        fan = np.diff(self._indptr)
+        levels = []
+        for rows in self._batches[1:]:
+            edges = _ranges(self._indptr[rows], self._indptr[rows + 1])
+            starts = np.cumsum(fan[rows]) - fan[rows]
+            levels.append((rows, self._src[edges], self._weights[edges], starts))
+        return levels
+
+    @cached_property
+    def _bias(self) -> np.ndarray:
+        return _column(self._biases)
+
+    @cached_property
+    def _bounds(self) -> np.ndarray:
+        """Per row, a bound on sum(|w_i * v_i|) + |bias| over every assignment.
+
+        A source's |v| is at most 1, or its own bound for a SUM gate.  A
+        float64 pass, capped so it cannot overflow, decides whether int64
+        holds every bound exactly; else they are exact ints.
+        """
+
+        def bounds(dtype, cap=None):
+            bound = np.abs(self._bias.astype(dtype))
+            reach = np.where(self._code == _CODE[SUM], bound, 1).astype(dtype)
+            for rows, src, w, starts in self._levels:
+                terms = np.abs(w.astype(dtype))
+                terms *= reach[src]
+                b = np.add.reduceat(terms, starts)
+                b = b + bound[rows] if cap is None else np.minimum(b + bound[rows], cap)
+                bound[rows] = b
+                reach[rows] = np.where(self._code[rows] == _CODE[SUM], b, 1)
+            return bound
+
+        small = bounds(float, 2.0**64).max() < 2.0**61
+        return bounds(np.int64 if small and self._weights.dtype != object else object)
 
     @property
     def gates(self) -> dict[int, Gate]:
-        return dict(self._gates)
+        return dict(self._gate_map)
 
     @property
     def inputs(self) -> tuple[int, ...]:
@@ -128,51 +298,69 @@ class ThresholdCircuit:
     def output(self) -> int:
         return self._output
 
-    @property
+    @cached_property
     def topo_order(self) -> tuple[int, ...]:
-        return self._order
+        return tuple(map(self._gids.__getitem__, self._order.tolist()))
 
-    @property
+    @cached_property
     def ordered_gates(self) -> tuple[Gate, ...]:
         """The non-input gates in topological order."""
-        return self._ordered
+        gates = self._gate_map
+        return tuple(gates[self._gids[r]] for r in self._ordered_rows.tolist())
 
     @cached_property
     def depth(self) -> int:
-        depth = dict.fromkeys(self._inputs, 0)
-        for g in self._ordered:
-            below = max((depth[src] for src, _ in g.fan_in), default=0)
-            depth[g.gid] = below + (1 if g.kind in (LT, EXACT) else 0)
-        return depth[self._output]
+        depth = np.isin(self._code, (_CODE[LT], _CODE[EXACT])).astype(np.int64)
+        for rows, src, _, starts in self._levels:
+            depth[rows] += np.maximum.reduceat(depth[src], starts)
+        return int(depth[self._row[self._output]])
 
     @property
     def gate_count(self) -> int:
         """Number of non-input gates."""
-        return len(self._ordered)
+        return len(self._ordered_rows)
 
 
 def eval_circuit(
     c: ThresholdCircuit, assignment: Sequence[int], want_trace: bool = False
 ) -> Union[int, tuple[int, dict[int, int]]]:
-    """Topological evaluation on one bit assignment; optionally the per-gate trace."""
+    """Topological evaluation on one bit assignment; optionally the per-gate trace.
+
+    A level of gates takes one product and one np.add.reduceat, in int64
+    when every gate's bound lies below 2**62, else in exact ints.  A gate
+    whose bound reaches 2**127 then sums its terms once more through the
+    budget check, in topological order, so the first value out of budget
+    raises MagnitudeError as a gate-by-gate walk would.
+    """
     if len(assignment) != len(c.inputs):
         raise ValueError(
             f"assignment length {len(assignment)} != input count {len(c.inputs)}"
         )
     if any(b not in (0, 1) for b in assignment):
         raise ValueError("assignment entries must be bits")
-    values: dict[int, int] = dict(zip(c.inputs, (int(b) for b in assignment)))
-    for g in c.ordered_gates:
-        terms = [w * values[src] for src, w in g.fan_in]
-        acc = _checked_sum(terms, sum(map(abs, terms)))
-        if g.kind == LT:
-            values[g.gid] = 1 if acc >= g.bias else 0
-        elif g.kind == EXACT:
-            values[g.gid] = 1 if acc == g.bias else 0
-        else:
-            values[g.gid] = checked(acc + g.bias)
-    result = values[c.output]
-    return (result, values) if want_trace else result
+    bits = [int(b) for b in assignment]
+    bounds, code, bias = c._bounds, c._code, c._bias
+    exact = bounds.max() >= _INT64_SAFE or c._weights.dtype == object
+    values = _apply(code, np.zeros(len(code), dtype=object if exact else np.int64), bias)
+    values[[c._row[gid] for gid in c.inputs]] = bits
+    for rows, src, w, starts in c._levels:
+        terms = values[src]
+        terms *= w
+        values[rows] = _apply(code[rows], np.add.reduceat(terms, starts), bias[rows])
+        if not exact:
+            continue
+        ends = [*starts[1:].tolist(), len(src)]
+        for t in np.flatnonzero(bounds[rows] >= _LIMIT).tolist():
+            a, b, row = int(starts[t]), ends[t], int(rows[t])
+            terms = [x * v for x, v in zip(w[a:b].tolist(), values[src[a:b]].tolist())]
+            acc = _checked_sum(terms, sum(map(abs, terms)))
+            if c._kinds[row] == SUM:
+                checked(acc + c._biases[row])
+    final = values.tolist()
+    trace = dict(zip(c.inputs, bits))
+    trace.update((c._gids[r], final[r]) for r in c._ordered_rows.tolist())
+    result = trace[c.output]
+    return (result, trace) if want_trace else result
 
 
 def _reference_form(reference, n_inputs, n, weights, values):
@@ -253,12 +441,10 @@ def _stream_check(c: ThresholdCircuit, coef: Sequence[int], test):
         c = ThresholdCircuit([*c.gates.values(), wire], c.inputs, top)
     k = len(c.inputs)
     gates = c.ordered_gates
-    # Per gate, a bound on sum(|w_i * v_i|) + |bias| over every assignment.
-    reach, bounds = dict.fromkeys(c.inputs, 1), []
-    for g in gates:
-        bounds.append(sum(abs(w) * reach[src] for src, w in g.fan_in) + abs(g.bias))
-        reach[g.gid] = bounds[-1] if g.kind == SUM else 1
-    fits = max(bounds) < _INT64_SAFE and sum(map(abs, coef)) < _INT64_SAFE
+    bounds = c._bounds[c._ordered_rows].tolist()
+    # A weight past int64 on a source that is always 0 leaves its bound small.
+    fits = max(bounds) < _INT64_SAFE and c._weights.dtype != object
+    fits = fits and sum(map(abs, coef)) < _INT64_SAFE
     dtype = np.int64 if fits else object
     risky = [t for t, bound in enumerate(bounds) if bound >= _LIMIT]
     position = {gid: t for t, gid in enumerate(c.inputs)}
@@ -351,13 +537,33 @@ def _depth_two(
     top_weight: int,
     top_bias: int,
 ) -> ThresholdCircuit:
-    """Inputs 1..k, one EXACT gate per (fan-in, bias) in layer, then the top gate."""
-    gates = [Gate(i + 1, INPUT) for i in range(k)]
-    gates += [Gate(k + 1 + t, EXACT, tuple(fan), b) for t, (fan, b) in enumerate(layer)]
+    """Inputs 1..k, one EXACT gate per (fan-in, bias) in layer, then the top gate.
+
+    The columns are built straight from the fan-ins, with the checks a Gate
+    makes, gate by gate.  The circuit is acyclic by construction, so its
+    order is built on first use.
+    """
     top = k + len(layer) + 1
-    fan = tuple((gid, top_weight) for gid in range(k + 1, top))
-    gates.append(Gate(top, top_kind, fan, top_bias))
-    return ThresholdCircuit(gates, tuple(range(1, k + 1)), top)
+    biases = [0] * k
+    for fan, bias in layer:
+        _check_weights(list(map(itemgetter(1), fan)))
+        biases.append(checked(int(bias)))
+    biases.append(checked(top_bias))
+    fans = [fan for fan, _ in layer]
+    counts = [0] * k + list(map(len, fans)) + [len(layer)]
+    pairs = list(chain.from_iterable(fans))
+    c = ThresholdCircuit.__new__(ThresholdCircuit)
+    c._build(
+        list(range(1, top + 1)),
+        [INPUT] * k + [EXACT] * len(layer) + [top_kind],
+        biases,
+        counts,
+        _column([*map(itemgetter(0), pairs), *range(k + 1, top)]),
+        _column([*map(itemgetter(1), pairs), *repeat(top_weight, len(layer))]),
+        range(1, k + 1),
+        top,
+    )
+    return c
 
 
 def compile_value_set(
@@ -421,58 +627,84 @@ def exactify_to_lt(c: ThresholdCircuit) -> ThresholdCircuit:
     1{F = b} = 1{F >= b} + 1{-F >= -b} - 1: consumers take both halves with
     the original weight and absorb the constant -1 into their bias (raising
     an LT/EXACT threshold by the weight, lowering a SUM offset by it).  An
-    EXACT output gate gains one SUM gate to realize the -1.
+    EXACT output gate gains one SUM gate to realize the -1.  The second
+    halves take the ids after the largest, in topological order; gates come
+    out in topological order, each second half right after its first.
     """
-    source = c.gates
-    next_id = max(source) + 1
-    split: dict[int, tuple[int, int]] = {}
-    gates: list[Gate] = []
-    for gid in c.topo_order:
-        g = source[gid]
-        if g.kind == INPUT:
-            gates.append(g)
-            continue
-        fan: list[tuple[int, int]] = []
-        bias = g.bias
-        for src, w in g.fan_in:
-            if src in split:
-                plus, minus = split[src]
-                fan += [(plus, w), (minus, w)]
-                bias = bias - w if g.kind == SUM else bias + w
-            else:
-                fan.append((src, w))
-        if g.kind == EXACT:
-            gates.append(Gate(gid, LT, tuple(fan), bias))
-            gates.append(Gate(next_id, LT, tuple((s, -w) for s, w in fan), -bias))
-            split[gid] = (gid, next_id)
-            next_id += 1
-        else:
-            gates.append(Gate(gid, g.kind, tuple(fan), bias))
+    order = c._order.tolist()
+    exact = [kind == EXACT for kind in c._kinds]
+    first = max(c._gids) + 1
+    twin = {r: first + t for t, r in enumerate(r for r in order if exact[r])}
+    ptr, src = c._indptr.tolist(), c._src.tolist()
+    sources = np.array(c._gids, dtype=object)[c._src].tolist()
+    weights = c._weights.tolist()
+    # Edges from an EXACT gate, which become two: from it and its second half.
+    doubled = (c._code == _CODE[EXACT])[c._src].nonzero()[0].tolist()
+    gids, kinds, biases, counts, out_src, out_w = [], [], [], [], [], []
+    for r in order:
+        a, b = ptr[r], ptr[r + 1]
+        fan_s, fan_w, bias = sources[a:b], weights[a:b], c._biases[r]
+        split = doubled[bisect_left(doubled, a) : bisect_left(doubled, b)]
+        for e in reversed(split):
+            fan_s.insert(e - a + 1, twin[src[e]])
+            fan_w.insert(e - a + 1, weights[e])
+            bias = bias - weights[e] if c._kinds[r] == SUM else bias + weights[e]
+        gids.append(c._gids[r])
+        kinds.append(LT if exact[r] else c._kinds[r])
+        biases.append(checked(bias))
+        counts.append(len(fan_s))
+        out_src += fan_s
+        out_w += fan_w
+        if exact[r]:
+            gids.append(twin[r])
+            kinds.append(LT)
+            biases.append(-bias)
+            counts.append(len(fan_s))
+            out_src += fan_s
+            out_w += map(neg, fan_w)
     output = c.output
-    if output in split:
-        plus, minus = split[output]
-        gates.append(Gate(next_id, SUM, ((plus, 1), (minus, 1)), -1))
-        output = next_id
-    return ThresholdCircuit(gates, c.inputs, output)
+    if exact[c._row[output]]:
+        gids.append(first + len(twin))
+        kinds.append(SUM)
+        biases.append(-1)
+        counts.append(2)
+        out_src += [output, twin[c._row[output]]]
+        out_w += [1, 1]
+        output = gids[-1]
+    lt = ThresholdCircuit.__new__(ThresholdCircuit)  # acyclic, as c is
+    lt._build(gids, kinds, biases, counts, _column(out_src), _column(out_w), c.inputs, output)
+    return lt
 
 
 def write_circuit(c: ThresholdCircuit) -> str:
-    """Line-based text form: inputs/output headers, then one gate per line."""
-    lines = [
-        "inputs " + " ".join(str(i) for i in c.inputs),
-        f"output {c.output}",
-    ]
-    gates = c.gates
-    for gid in sorted(gates):
-        g = gates[gid]
-        parts = [str(gid), g.kind, str(g.bias)]
-        parts.extend(f"{src}:{w}" for src, w in g.fan_in)
-        lines.append(" ".join(parts))
+    """Line-based text form: inputs/output headers, then one gate per line by id."""
+    size, ptr = len(c._gids), c._indptr.tolist()
+    ids = np.array(c._gids, dtype=object)
+    texts = []
+    # Gates are written in runs of about _RUN_EDGES fan-in pairs, in line order.
+    step = max(1, _RUN_EDGES * size // max(ptr[-1], 1))
+    for lo in range(0, size, step):
+        hi = min(lo + step, size)
+        sources = ids[c._src[ptr[lo] : ptr[hi]]].tolist()
+        weights = c._weights[ptr[lo] : ptr[hi]].tolist()
+        for r in range(lo, hi):
+            a, b = ptr[r] - ptr[lo], ptr[r + 1] - ptr[lo]
+            pairs = (f"{s}:{w}" for s, w in zip(sources[a:b], weights[a:b]))
+            texts.append(" ".join([f"{c._gids[r]} {c._kinds[r]} {c._biases[r]}", *pairs]))
+    lines = ["inputs " + " ".join(str(i) for i in c.inputs), f"output {c.output}"]
+    lines += map(texts.__getitem__, c._by_gid.tolist())
     lines.append("")  # a final newline without copying the joined text
     return "\n".join(lines)
 
 
 def read_circuit(text: str) -> ThresholdCircuit:
+    """Parse the circuit file format; inverse of write_circuit on canonical text.
+
+    Each gate line is split once into gid, kind, bias and its fan-in text.
+    Plain fan-in texts (see _PLAIN) are read together by one np.fromstring;
+    any other goes through int() token by token, with the same checks and
+    errors, into the same columns.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 3 or not lines[0].startswith("inputs ") or not lines[1].startswith(
         "output "
@@ -480,23 +712,54 @@ def read_circuit(text: str) -> ThresholdCircuit:
         raise CircuitFormatError("expected 'inputs ...' and 'output ...' headers")
     try:
         inputs = tuple(int(t) for t in lines[0].split()[1:])
-        output = int(lines[1].split()[1])
-    except (ValueError, IndexError):
+        _, output = lines[1].split()
+        output = int(output)
+    except ValueError:
         raise CircuitFormatError("malformed header") from None
-    gates = []
+    gids, kinds, biases, counts, fans = [], [], [], [], []
+    wide = False  # some fan-in integer lies past _INT64_SAFE
     for line in lines[2:]:
         try:
-            gid, kind, bias, *tokens = line.split()
-            # Every fan-in token is src:weight with exactly one colon.
-            if set(map(str.count, tokens, repeat(":"))) - {1}:
-                raise ValueError
-            nums = map(int, ":".join(tokens).split(":") if tokens else ())
-            # zip over one iterator pairs each source with the weight after it.
-            gid, bias, fan = int(gid), int(bias), tuple(zip(nums, nums))
+            gid, kind, bias, *rest = line.split(None, 3)
+            gid, bias, fan = int(gid), int(bias), "".join(rest)
+            if _PLAIN.fullmatch(fan):
+                count, weights = fan.count(":"), ()
+            else:
+                # Every fan-in token is src:weight with exactly one colon.
+                tokens = fan.split()
+                if set(map(str.count, tokens, repeat(":"))) - {1}:
+                    raise ValueError
+                nums = list(map(int, ":".join(tokens).split(":")))
+                count, weights = len(tokens), nums[1::2]
+                wide = wide or max(map(abs, nums)) >= _INT64_SAFE
+                fan = " ".join(map(str, nums))
+            fans.append(fan.replace(":", " "))
         except ValueError:
             raise CircuitFormatError(f"malformed gate line {line!r}") from None
-        gates.append(Gate(gid, kind, fan, bias))
-    return ThresholdCircuit(gates, inputs, output)
+        _check_kind(kind, count > 0)
+        _check_weights(weights)
+        gids.append(gid)
+        kinds.append(kind)
+        biases.append(checked(bias))
+        counts.append(count)
+    numbers = " ".join(fans)
+    del lines, fans  # the columns need only the joined text
+    sources, weights = _pairs(numbers, wide, sum(counts))
+    c = ThresholdCircuit.__new__(ThresholdCircuit)
+    c._build(gids, kinds, biases, counts, sources, weights, inputs, output)
+    c._batches  # a cycle raises here
+    return c
+
+
+def _pairs(text: str, wide: bool, pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sources and weights of text, which holds pairs of space-separated integers."""
+    if wide:
+        nums = np.array(list(map(int, text.split())), dtype=object)
+    elif pairs:
+        nums = np.fromstring(text, dtype=np.int64, sep=" ")
+    else:  # np.fromstring reads a blank text as one 0
+        nums = np.zeros(0, dtype=np.int64)
+    return nums[0::2].copy(), nums[1::2].copy()
 
 
 def format_trace(values: dict[int, int]) -> str:

@@ -153,10 +153,11 @@ def _keys(coef: np.ndarray, values: range) -> np.ndarray:
     """c.x for every x in values^len(c), in counter order (first coordinate fastest).
 
     A cached grid of at most _GRID_ROWS rows covers the first coordinates;
-    each further one is a broadcast add.
+    each further one is a broadcast add.  Exact object coefficients take
+    only the broadcast adds: a grid product would copy the grid to objects.
     """
     head = 0
-    while head < coef.size and len(values) ** (head + 1) <= _GRID_ROWS:
+    while coef.dtype != object and head < coef.size and len(values) ** (head + 1) <= _GRID_ROWS:
         head += 1
     keys = _digit_grid(head, values) @ coef[:head]
     for c in coef[head:]:

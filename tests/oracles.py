@@ -109,15 +109,12 @@ def _in_budget(v):
     return v
 
 
-def eval_gates(gates, inputs, bits):
-    """Every gate's value on one assignment; gates maps gid -> (kind, fan_in, bias).
+def kahn_order(gates):
+    """Gate ids in Kahn order; gates maps gid -> (kind, fan_in, bias).
 
-    Gates run in Kahn order: those without fan-in by id, then, for each gate
-    in turn, the consumers whose last source it was, by id.  Every product
-    and partial sum is checked in fan-in order, and a SUM gate's value after
-    its bias is added.
+    Gates without fan-in come first by id; then, for each gate in turn, the
+    consumers whose last source it was, by id.  A cycle leaves gates out.
     """
-    values = dict(zip(inputs, bits))
     waiting = {gid: len(fan) for gid, (_, fan, _) in gates.items()}
     order = sorted(gid for gid, count in waiting.items() if count == 0)
     for gid in order:
@@ -129,7 +126,17 @@ def eval_gates(gates, inputs, bits):
                     if waiting[other] == 0:
                         freed.append(other)
         order.extend(sorted(freed))
-    for gid in order:
+    return order
+
+
+def eval_gates(gates, inputs, bits):
+    """Every gate's value on one assignment; gates maps gid -> (kind, fan_in, bias).
+
+    Gates run in Kahn order.  Every product and partial sum is checked in
+    fan-in order, and a SUM gate's value after its bias is added.
+    """
+    values = dict(zip(inputs, bits))
+    for gid in kahn_order(gates):
         kind, fan, bias = gates[gid]
         if kind == "INPUT":
             continue
@@ -143,3 +150,96 @@ def eval_gates(gates, inputs, bits):
         else:
             values[gid] = _in_budget(acc + bias)
     return values
+
+
+class CircuitTextError(ValueError):
+    """The reference reader rejects a circuit text."""
+
+
+def read_gates(text):
+    """(gates, inputs, output) of a circuit file, read one line at a time.
+
+    gates maps gid -> (kind, fan_in, bias).  Every field is read with int().
+    A fault raises CircuitTextError with the message the format's rules
+    give, the first fault first: the headers; then line by line the fields,
+    the kind, an INPUT gate's fan-in, each weight and the bias against the
+    2^127 budget; then repeated ids, the input list, the output, missing
+    sources and cycles.
+    """
+    lines = [line for line in text.splitlines() if line.strip()]
+    if len(lines) < 3 or not lines[0].startswith("inputs ") or not lines[1].startswith(
+        "output "
+    ):
+        raise CircuitTextError("expected 'inputs ...' and 'output ...' headers")
+    try:
+        inputs = [int(token) for token in lines[0].split()[1:]]
+        head = lines[1].split()
+        if len(head) != 2:
+            raise ValueError
+        output = int(head[1])
+    except ValueError:
+        raise CircuitTextError("malformed header") from None
+    listed = []
+    for line in lines[2:]:
+        fields = line.split()
+        try:
+            if len(fields) < 3:
+                raise ValueError
+            gid, kind, bias = int(fields[0]), fields[1], int(fields[2])
+            fan = []
+            for token in fields[3:]:
+                if token.count(":") != 1:
+                    raise ValueError
+                src, weight = token.split(":")
+                fan.append((int(src), int(weight)))
+        except ValueError:
+            raise CircuitTextError(f"malformed gate line {line!r}") from None
+        if kind not in ("INPUT", "LT", "EXACT", "SUM"):
+            raise CircuitTextError(f"unknown gate kind {kind!r}")
+        if kind == "INPUT" and fan:
+            raise CircuitTextError("INPUT gates take no fan-in")
+        for value in [w for _, w in fan] + [bias]:
+            if abs(value) >= 1 << 127:
+                raise CircuitTextError(f"|{value}| exceeds the 2^127 budget")
+        listed.append((gid, (kind, tuple(fan), bias)))
+    gates = {}
+    for gid, gate in listed:
+        if gid in gates:
+            raise CircuitTextError(f"duplicate gate id {gid}")
+        gates[gid] = gate
+    for gid in inputs:
+        if gid not in gates or gates[gid][0] != "INPUT":
+            raise CircuitTextError(f"input id {gid} is not an INPUT gate")
+    if len(set(inputs)) != len(inputs):
+        raise CircuitTextError("input ids must not repeat")
+    for gid, (kind, _, _) in gates.items():
+        if kind == "INPUT" and gid not in inputs:
+            raise CircuitTextError(f"INPUT gate {gid} is missing from the input list")
+    if output not in gates:
+        raise CircuitTextError(f"output id {output} does not exist")
+    for gid, (_, fan, _) in gates.items():
+        for src, _ in fan:
+            if src not in gates:
+                raise CircuitTextError(f"gate {gid} references missing source {src}")
+    if len(kahn_order(gates)) != len(gates):
+        raise CircuitTextError("circuit contains a cycle")
+    return gates, inputs, output
+
+
+def gates_text(gates, inputs, output):
+    """The canonical file text: headers, then one line per gate by id."""
+    lines = ["inputs " + " ".join(map(str, inputs)), f"output {output}"]
+    for gid in sorted(gates):
+        kind, fan, bias = gates[gid]
+        lines.append(" ".join([str(gid), kind, str(bias)] + [f"{s}:{w}" for s, w in fan]))
+    return "\n".join(lines) + "\n"
+
+
+def gates_depth(gates, output):
+    """LT and EXACT gates on the longest path into the output."""
+    depth = {}
+    for gid in kahn_order(gates):
+        kind, fan, _ = gates[gid]
+        below = max((depth[src] for src, _ in fan), default=0)
+        depth[gid] = below + (kind in ("LT", "EXACT"))
+    return depth[output]

@@ -1,6 +1,8 @@
 import itertools
 import random
+import re
 import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import given
@@ -27,7 +29,15 @@ from eqkit import (
 )
 from eqkit import circuit as circuit_module
 from eqkit import verify
-from oracles import BudgetError, eval_gates
+from oracles import (
+    BudgetError,
+    CircuitTextError,
+    eval_gates,
+    gates_depth,
+    gates_text,
+    kahn_order,
+    read_gates,
+)
 
 
 def naive_eval(c, assignment):
@@ -421,6 +431,154 @@ def test_eval_circuit_matches_the_checked_oracle():
     assert 500 < raised < 2500
 
 
+def _random_circuit_text(rng):
+    """A random circuit file: gate lines in any order, repeated edges, weights
+    up to 2**126, and in about a third of the files one fault."""
+    k = rng.randint(1, 4)
+    ids = rng.sample(range(-3, 40), k + rng.randint(0, 8))
+    lines = [f"{gid} INPUT 0" for gid in ids[:k]]
+    for t, gid in enumerate(ids[k:], k):
+        fan = [(rng.choice(ids[:t]), rng.randint(-4, 4)) for _ in range(rng.randint(0, 5))]
+        fan += fan[: rng.randint(0, 2)]
+        for j in range(len(fan)):
+            if rng.random() < 0.08:
+                fan[j] = (fan[j][0], rng.choice((-1, 1)) * (1 << rng.choice((61, 62, 63, 126))))
+        kind = rng.choice(("LT", "EXACT", "SUM"))
+        line = " ".join([str(gid), kind, str(rng.randint(-3, 3))] + [f"{s}:{w}" for s, w in fan])
+        lines.append(line)
+    inputs, output = ids[:k], rng.choice(ids)
+    fault = rng.randrange(24)
+    if fault == 0:
+        lines.append(f"{max(ids) + 1} LT 0 {max(ids) + 2}:1")
+    elif fault == 1 and len(ids) > k + 1:
+        a, b = ids[k], ids[-1]  # b may read a; now a reads b too
+        lines.append(f"{max(ids) + 1} SUM 0 {a}:1")
+        lines = [line + f" {b}:1" if line.split()[0] == str(a) else line for line in lines]
+    elif fault == 2:
+        lines.append(rng.choice(lines))
+    elif fault == 3:
+        lines.append(f"{max(ids) + 1} NAND 0")
+    elif fault == 4:
+        lines.append(f"{max(ids) + 1} INPUT 0 {ids[0]}:1")
+    elif fault == 5:
+        lines.append(f"{max(ids) + 1} LT 0 {ids[0]}:1:2")
+    elif fault == 6:
+        lines.append(f"{max(ids) + 1} LT 0 {ids[0]}:{-(1 << 127)}")
+    elif fault == 7:
+        output = max(ids) + 5
+    elif fault == 8:
+        inputs = inputs[1:]
+    rng.shuffle(lines)
+    head = ["inputs " + " ".join(map(str, inputs)), f"output {output}"]
+    return "\n".join(head + lines) + "\n"
+
+
+def _unplain(text, rng):
+    """text with some gate lines in int() forms that np.fromstring does not read."""
+    forms = (
+        lambda digits: "+" + digits,
+        lambda digits: "0_" + digits,
+        lambda digits: digits.zfill(19),
+        lambda digits: "".join(chr(0x660 + int(d)) for d in digits),
+    )
+
+    def number(match):
+        sign, digits = match.group(1), match.group(2)
+        form = rng.choice(forms[1:] if sign else forms)
+        return sign + form(digits)
+
+    lines = text.split("\n")
+    for i in range(2, len(lines)):
+        if rng.random() < 0.4:
+            lines[i] = re.sub(r"(-?)([0-9]+)", number, lines[i])
+        elif rng.random() < 0.2:
+            lines[i] = lines[i].replace(" ", "\xa0")
+    return "\n".join(lines)
+
+
+def _against_reader(text, seed):
+    """read_circuit against the reference reader, and one seeded evaluation."""
+    try:
+        gates, inputs, output = read_gates(text)
+    except CircuitTextError as exc:
+        with pytest.raises((ValueError, MagnitudeError)) as info:
+            read_circuit(text)
+        assert str(info.value) == str(exc)
+        return "rejected"
+    c = read_circuit(text)
+    assert list(c.topo_order) == kahn_order(gates)
+    assert c.depth == gates_depth(gates, output)
+    assert write_circuit(c) == gates_text(gates, inputs, output)
+    bits = [random.Random(seed).randint(0, 1) for _ in inputs]
+    try:
+        want = eval_gates(gates, inputs, bits)
+    except BudgetError as exc:
+        with pytest.raises(MagnitudeError) as info:
+            eval_circuit(c, bits)
+        assert str(info.value) == str(exc)
+        return "raised"
+    assert eval_circuit(c, bits, want_trace=True) == (want[output], want)
+    return "evaluated"
+
+
+def test_read_circuit_matches_the_reference_reader():
+    # Both tokenizing routes against a reader of its own: plain files go
+    # through np.fromstring, and the same files with some lines in +3, 0_1,
+    # 19-digit or Arabic-Indic forms, or NBSP-separated, through int().
+    rng = random.Random(14)
+    outcomes = {"rejected": 0, "raised": 0, "evaluated": 0}
+    for seed in range(3000):
+        plain = _random_circuit_text(rng)
+        unplain = _unplain(plain, rng)
+        outcome = _against_reader(plain, seed)
+        assert _against_reader(unplain, seed) == outcome
+        if outcome != "rejected":
+            assert write_circuit(read_circuit(unplain)) == write_circuit(read_circuit(plain))
+        outcomes[outcome] += 1
+    assert outcomes["evaluated"] > 1500
+    assert outcomes["rejected"] > 800
+    assert outcomes["raised"] > 50
+
+
+_TRAP_HEAD = "inputs 1 2\noutput 3\n1 INPUT 0\n2 INPUT 0\n"
+
+
+@pytest.mark.parametrize(
+    "gates, rejected",
+    [
+        # np.fromstring reads a blank text as [0]: no gate may gain a phantom edge.
+        ("3 LT 0\n", False),
+        ("3 SUM 2   \n", False),
+        # It stops at a bad token, with an error or only a warning.
+        ("3 LT 0 1:1 x:2 2:1\n", True),
+        ("3 LT 0 1:1 2:1-3\n", True),
+        ("3 LT 0 1:- 2:1\n", True),
+        ("3 LT 0 - 1:1\n", True),
+        # It does not read digits and spaces that int() and str.split take.
+        ("3 LT 0 1:\u0661 2:\u0662\n", False),
+        ("3 LT 0 1:1\xa02:1\n", False),
+        # Past 18 digits it saturates at int64, where int() stays exact.
+        (f"3 LT 0 1:{10**17 + 1} 2:{-(10**18 - 1)}\n", False),
+        (f"3 LT 0 1:{10**18} 2:{-(10**19 - 1)}\n", False),
+        (f"3 SUM 0 1:{2**63 - 1} 2:{-(2**63 - 1)}\n", False),
+        (f"3 SUM 0 1:{2**63} 2:{-(2**63)}\n", False),
+        (f"3 SUM 0 1:{2**126} 2:{-(2**126)}\n", False),
+        (f"3 SUM {2**126} 1:{2**126} 2:-1\n", False),
+    ],
+)
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_read_circuit_plain_route_traps(gates, rejected, action):
+    # Under CI's -W error and without it alike, read_circuit gives what the
+    # reference reader gives, and for a valid file the same fan-in.
+    text = _TRAP_HEAD + gates
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        outcome = _against_reader(text, 3)
+        assert (outcome == "rejected") == rejected
+        if not rejected:
+            assert read_circuit(text).gates[3].fan_in == read_gates(text)[0][3][1]
+
+
 def test_read_circuit_rejects_malformed_text():
     from eqkit import CircuitFormatError
 
@@ -503,6 +661,9 @@ def test_exhaustive_check_matches_row_by_row(monkeypatch, chunk_bytes):
     ]
     wire = ThresholdCircuit([Gate(1, "INPUT")], (1,), 1)  # output is the input
     cases += [(wire, "parity", {}), (wire, "valueset", dict(weights=(1,), values={0}))]
+    # A weight past int64 on a SUM gate that is always 0: the gate bounds stay small.
+    silent = f"inputs 1 2\noutput 4\n1 INPUT 0\n2 INPUT 0\n3 SUM 0\n4 LT 1 3:{1 << 100} 1:1 2:1\n"
+    cases += [(read_circuit(silent), "parity", {})]
     # Object-route cases: gate values past int64, reference sums past int64,
     # and gates that can leave the 2**127 budget (a fan-in prefix, a SUM
     # whose bias brings the final value back, an LT gate).

@@ -18,6 +18,7 @@ from eqkit import (
     write_matrix,
 )
 from eqkit.cli import main
+from oracles import BudgetError, eval_gates, read_gates
 
 
 def run(capsys, *argv):
@@ -736,6 +737,8 @@ _HEAD = "inputs 1 2\noutput 3\n1 INPUT 0\n2 INPUT 0\n"
     [
         ("1 INPUT 0\n2 INPUT 0\n3 LT 0 1:1\n", "expected 'inputs ...' and 'output ...' headers"),
         ("inputs 1 x\noutput 3\n1 INPUT 0\n", "malformed header"),
+        # Junk after the output id used to be ignored.
+        ("inputs 1 2\noutput 3 junk\n1 INPUT 0\n2 INPUT 0\n3 LT 0 1:1\n", "malformed header"),
         (_HEAD + "3 LT\n", "malformed gate line '3 LT'"),
         (_HEAD + "3 LT b 1:1\n", "malformed gate line '3 LT b 1:1'"),
         (_HEAD + "3 LT 0 1:2:3 4\n", "malformed gate line '3 LT 0 1:2:3 4'"),
@@ -863,9 +866,22 @@ def _mutate(text, rng):
     return "".join(chars)
 
 
+def _reference_eval(text, bits):
+    """(exit code, stdout, stderr) of `circuit eval` by the reference reader."""
+    try:
+        gates, inputs, output = read_gates(text)
+        if len(bits) != len(inputs):
+            raise ValueError(f"assignment length {len(bits)} != input count {len(inputs)}")
+        return 0, f"{eval_gates(gates, inputs, bits)[output]}\n", ""
+    except (ValueError, BudgetError) as exc:
+        return 2, "", f"error: {exc}\n"
+
+
 def test_cli_survives_mutated_files(capsys, tmp_path):
     # Seeded mutations of valid matrix and circuit files: every run ends in
-    # exit 0, 1 or 2, and main never raises.
+    # exit 0, 1 or 2, and main never raises.  `circuit eval` exits 2, with
+    # the same message, exactly when the reference reader rejects the file,
+    # and otherwise prints the reference value.
     rng = random.Random(2024)
     names = ("eq_k2.txt", "crt_4x8.txt", "rmds_n3.txt")
     matrices = [(FIXTURES / name).read_text() for name in names]
@@ -888,8 +904,9 @@ def test_cli_survives_mutated_files(capsys, tmp_path):
             ref, n = circuits[name]
             target.write_text(_mutate((FIXTURES / name).read_text(), rng))
             k = 2 * int(n) if ref != "parity" else int(n)
+            argv = ("circuit", "eval", str(target), "--input", " ".join("1" * k))
+            assert run(capsys, *argv) == _reference_eval(target.read_text(), [1] * k)
             runs = [
-                ("circuit", "eval", str(target), "--input", " ".join("1" * k)),
                 ("--cap", "70000", "circuit", "check", str(target), "--ref", ref, "--n", n),
                 ("circuit", "exactify", str(target)),
             ]

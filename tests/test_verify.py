@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -527,3 +528,19 @@ def test_rmds_product_memory_is_chunked(monkeypatch):
         verify._digit_grid.cache_clear()
         _, peak = _peak_bytes(lambda: verify._zero_pattern_block(a, 2, 3))
         assert peak < 1 << 19
+
+
+def test_exact_keys_skip_the_digit_grid():
+    # Object coefficients take the broadcast adds only: a product with the
+    # int64 digit grid would first copy its 3^7 x 7 cells to objects, which
+    # the engine's byte count does not see.  Both routes give the same keys.
+    values = range(-1, 2)
+    small = np.array([3, -1, 4, 1, -5, 9, 2])
+    exact = small.astype(object)
+    verify._keys(small, values)  # the cached int64 grid is not what is measured
+    keys, peak = _peak_bytes(lambda: verify._keys(exact, values))
+    assert keys.dtype == object
+    assert keys.tolist() == verify._keys(small, values).tolist()
+    assert peak < 3**7 * 7 * 8
+    big = exact * (1 << 70)
+    assert verify._keys(big, values).tolist() == [k << 70 for k in keys.tolist()]
