@@ -170,7 +170,6 @@ class ThresholdCircuit:
             inputs,
             output,
         )
-        self._gate_map = dict(zip(self._gids, gates))
         self._batches  # a cycle raises here
 
     def _build(self, gids, kinds, biases, counts, sources, weights, inputs, output) -> None:
@@ -303,12 +302,6 @@ class ThresholdCircuit:
         return tuple(map(self._gids.__getitem__, self._order.tolist()))
 
     @cached_property
-    def ordered_gates(self) -> tuple[Gate, ...]:
-        """The non-input gates in topological order."""
-        gates = self._gate_map
-        return tuple(gates[self._gids[r]] for r in self._ordered_rows.tolist())
-
-    @cached_property
     def depth(self) -> int:
         depth = np.isin(self._code, (_CODE[LT], _CODE[EXACT])).astype(np.int64)
         for rows, src, _, starts in self._levels:
@@ -426,39 +419,47 @@ def _assignment(row: int, k: int) -> tuple[int, ...]:
 def _stream_check(c: ThresholdCircuit, coef: Sequence[int], test):
     """exhaustive_check in aligned chunks of 2**L assignments.
 
-    In chunk h the first k - L inputs are the bits of h, and the last L
-    inputs run through the same 2**L columns in every chunk.  So each gate's
-    input fan-in, and the reference form, splits into a table over the low
-    inputs, built once, plus one scalar per chunk from the high inputs.
-    Rows where a gate with reach past 2**127 may overflow are replayed by
+    Form rows run over the inputs, then the gates in topological order: one
+    per gate, one of |w| summed per edge (never per source, which could hide
+    a partial sum) per gate whose reach passes 2**127, the reference, and a
+    unit row for an input that is the output.  In chunk h the first k - L
+    inputs are the bits of h, and the last L run through the same 2**L
+    columns in every chunk.  So a row's input part splits into a table over
+    the low inputs, built once, plus one scalar per chunk from the high
+    inputs; its gate part takes the earlier gates' values (|values| for a
+    bound row).  Rows where a bound reaches 2**127 are replayed by
     eval_circuit up to the chunk's first mismatch, to raise where it would.
     """
-    source = c
-    if c.output in c.inputs:
-        # An input wired straight to the output gets a SUM gate to carry it.
-        top = max(c.gates) + 1
-        wire = Gate(top, SUM, ((c.output, 1),))
-        c = ThresholdCircuit([*c.gates.values(), wire], c.inputs, top)
-    k = len(c.inputs)
-    gates = c.ordered_gates
-    bounds = c._bounds[c._ordered_rows].tolist()
-    # A weight past int64 on a source that is always 0 leaves its bound small.
-    fits = max(bounds) < _INT64_SAFE and c._weights.dtype != object
-    fits = fits and sum(map(abs, coef)) < _INT64_SAFE
+    k, gates = len(c.inputs), c._ordered_rows
+    g = gates.size
+    bounds = c._bounds[gates]
+    risky = gates[bounds >= _LIMIT]
+    # A weight past int64 on a source that is always 0 leaves its bound small;
+    # so may repeated weights there, whose net weight wraps but multiplies 0.
+    fits = not g or bounds.max() < _INT64_SAFE
+    fits = fits and c._weights.dtype != object and sum(map(abs, coef)) < _INT64_SAFE
     dtype = np.int64 if fits else object
-    risky = [t for t, bound in enumerate(bounds) if bound >= _LIMIT]
-    position = {gid: t for t, gid in enumerate(c.inputs)}
-    # One row of input coefficients per gate, the reference, then |w| rows
-    # that bound the partial sums of the risky gates.
-    fans = [g.fan_in for g in gates] + [list(zip(c.inputs, coef))]
-    fans += [[(s, abs(w)) for s, w in gates[t].fan_in] for t in risky]
-    forms = np.zeros((len(fans), k), dtype=dtype)
-    for row, fan in enumerate(fans):
-        for src, w in fan:
-            if src in position:
-                forms[row, position[src]] += w
-    feeds = [[(s, w) for s, w in g.fan_in if s not in position] for g in gates]
-    ref = len(gates)  # the row of the reference form
+    # Each circuit row's form column: the inputs in order, then the gates.
+    col = np.concatenate([[c._row[gid] for gid in c.inputs], gates]).argsort()
+    out, ref = int(col[c._row[c.output]]) - k, g + risky.size  # out < 0 for an input
+    # Gates keep their rule; a bound row is a SUM with |bias|, the reference
+    # and unit rows are SUMs with bias 0.
+    rules = [(c._kinds[r], c._biases[r]) for r in gates.tolist()]
+    rules += [(SUM, abs(c._biases[r])) for r in risky.tolist()] + [(SUM, 0)] * (1 + (out < 0))
+    forms = np.zeros((len(rules), k + g), dtype=dtype)
+    owners = np.concatenate([gates, risky])  # the circuit row of each gate or bound row
+    counts = np.diff(c._indptr)[owners]
+    edges = _ranges(c._indptr[owners], c._indptr[owners + 1])
+    weights, split = c._weights[edges], counts[:g].sum()
+    weights[split:] = np.abs(weights[split:])
+    np.add.at(forms, (np.arange(owners.size).repeat(counts), col[c._src[edges]]), weights)
+    forms[ref, :k] = coef
+    if out < 0:
+        forms[-1, out + k] = 1
+        out = len(forms) - 1
+    # Each row's nonzero weights on earlier gates, as (gate, weight) pairs.
+    nonzero = [np.flatnonzero(f) for f in forms[:, k:]]
+    feeds = [list(zip(nz.tolist(), f[nz].tolist())) for f, nz in zip(forms[:, k:], nonzero)]
     # Per row: a table and a value array per form, and the reference test;
     # an object entry is a pointer plus an int of up to 128 bits.
     row_bytes = (8 if fits else 8 + sys.getsizeof(_LIMIT)) * (2 * len(forms) + 1)
@@ -472,33 +473,29 @@ def _stream_check(c: ThresholdCircuit, coef: Sequence[int], test):
     # A form without low inputs gets a single zero, which broadcasts.
     tables = [
         _keys(f[low:][::-1], range(2)).copy() if f[low:].any() else np.zeros(1, dtype)
-        for f in forms
+        for f in forms[:, :k]
     ]
     high = forms[:, :low]
     shifts = np.arange(low - 1, -1, -1, dtype=np.int64)
     for h in range(1 << low):
         offsets = (high @ ((h >> shifts) & 1)).tolist()
-        values: dict = {}
-        for g, feed, table, offset in zip(gates, feeds, tables, offsets):
-            acc = table
-            for src, w in feed:
+        values = []
+        for t, (acc, (kind, bias), offset, feed) in enumerate(zip(tables, rules, offsets, feeds)):
+            for j, w in feed:
                 # dtype keeps a bit array times a weight past int64 exact.
-                acc = acc + np.multiply(w, values[src], dtype=dtype)
-            if g.kind == LT:
-                values[g.gid] = acc >= g.bias - offset
-            elif g.kind == EXACT:
-                values[g.gid] = acc == g.bias - offset
+                acc = acc + np.multiply(w, values[j] if t < g else abs(values[j]), dtype=dtype)
+            if kind == LT:
+                values.append(acc >= bias - offset)
+            elif kind == EXACT:
+                values.append(acc == bias - offset)
             else:
-                values[g.gid] = acc + (g.bias + offset)
-        bad = np.flatnonzero(values[c.output] != test(tables[ref] + offsets[ref]))
-        over = np.zeros(1 << bits if risky else 0, dtype=bool)
-        for t, table, offset in zip(risky, tables[ref + 1 :], offsets[ref + 1 :]):
-            mag = table + (offset + abs(gates[t].bias))
-            for src, w in feeds[t]:
-                mag = mag + np.abs(np.multiply(w, values[src], dtype=dtype))
+                values.append(acc + (bias + offset))
+        bad = np.flatnonzero(values[out] != test(values[ref]))
+        over = np.zeros(1 << bits if risky.size else 0, dtype=bool)
+        for mag in values[g:ref]:
             over |= mag >= _LIMIT
         for row in np.flatnonzero(over[: bad[0] + 1 if bad.size else None]).tolist():
-            eval_circuit(source, _assignment(h << bits | row, k))  # may raise
+            eval_circuit(c, _assignment(h << bits | row, k))  # may raise
         if bad.size:
             return _assignment(h << bits | int(bad[0]), k)
     return None

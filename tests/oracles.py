@@ -243,3 +243,81 @@ def gates_depth(gates, output):
         below = max((depth[src] for src, _ in fan), default=0)
         depth[gid] = below + (kind in ("LT", "EXACT"))
     return depth[output]
+
+
+class MatrixTextError(ValueError):
+    """The reference reader rejects a matrix text."""
+
+
+def _trace_fields(line):
+    """(m0, n0, k, q) of a `# trace m0=.. n0=.. k=.. q=..` line, else None."""
+    words = line.strip()[1:].split()
+    if len(words) != 5 or words[0] != "trace":
+        return None
+    fields = []
+    for word, name in zip(words[1:], ("m0", "n0", "k", "q")):
+        key, _, value = word.partition("=")
+        digits = value[1:] if value.startswith("-") else value
+        if key != name or not digits.isdecimal():
+            return None
+        fields.append(int(value))
+    return tuple(fields)
+
+
+def read_matrix_rows(text):
+    """(rows, trace) of a matrix file, read one line at a time.
+
+    trace is (m0, n0, k, q) from the last `# trace` comment before the
+    header, or None.  A fault raises MatrixTextError with the message the
+    format's rules give, the first fault first: each trace comment as it is
+    met; then the header; the row count; each row's entry count and tokens;
+    then every entry, row by row, against the 2^127 budget.
+    """
+    lines = text.splitlines()
+    trace, pos = None, 0
+    while pos < len(lines) and lines[pos].lstrip().startswith("#"):
+        fields = _trace_fields(lines[pos])
+        if fields is not None:
+            m0, n0, k, q = fields
+            if m0 < 1 or n0 < 1:
+                raise MatrixTextError("base dimensions must be positive")
+            if k < 0:
+                raise MatrixTextError("iteration count must be >= 0")
+            if q < 2:
+                raise MatrixTextError("arity q must be at least 2")
+            trace = fields
+        pos += 1
+    if pos == len(lines):
+        raise MatrixTextError("missing header line")
+    header = lines[pos]
+    try:
+        m, n = (int(token) for token in header.split())
+        if m < 1 or n < 1:
+            raise ValueError
+    except ValueError:
+        raise MatrixTextError(f"malformed header {header!r}") from None
+    body = lines[pos + 1 :]
+    if len(body) != m:
+        raise MatrixTextError(f"expected {m} rows, found {len(body)}")
+    rows = []
+    for line in body:
+        tokens = line.split()
+        if len(tokens) != n:
+            raise MatrixTextError(f"expected {n} entries per row, found {len(tokens)}")
+        try:
+            rows.append([int(token) for token in tokens])
+        except ValueError:
+            raise MatrixTextError(f"non-integer token in row {line!r}") from None
+    for row in rows:
+        for value in row:
+            if abs(value) >= 1 << 127:
+                raise MatrixTextError(f"|{value}| exceeds the 2^127 budget")
+    return rows, trace
+
+
+def matrix_text(rows, trace):
+    """The canonical file text: the trace comment if any, the header, the rows."""
+    lines = [] if trace is None else ["# trace m0={} n0={} k={} q={}".format(*trace)]
+    lines.append(f"{len(rows)} {len(rows[0])}")
+    lines += [" ".join(map(str, row)) for row in rows]
+    return "\n".join(lines) + "\n"

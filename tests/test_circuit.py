@@ -116,7 +116,7 @@ def perturb(c, rng):
     """Copy of c with one to three weights or biases moved by one."""
     gates = c.gates
     for _ in range(rng.randint(1, 3)):
-        g = gates[rng.choice(c.ordered_gates).gid]
+        g = gates[rng.choice([gid for gid in c.topo_order if gates[gid].kind != "INPUT"])]
         fan = list(g.fan_in)
         bias = g.bias
         if fan and rng.random() < 0.6:
@@ -207,9 +207,6 @@ def test_eval_matches_reference_evaluator(eq_4x8):
 def test_compile_eq_shape_and_equivalence(eq_4x8):
     c = compile_eq_circuit(eq_4x8)
     assert c.gate_count == 5
-    assert [g.gid for g in c.ordered_gates] == [
-        gid for gid in c.topo_order if c.gates[gid].kind != "INPUT"
-    ]
     assert c.depth == 2
     assert len(c.inputs) == 16
     assert eval_circuit(c, (0,) * 16) == 1
@@ -664,6 +661,9 @@ def test_exhaustive_check_matches_row_by_row(monkeypatch, chunk_bytes):
     # A weight past int64 on a SUM gate that is always 0: the gate bounds stay small.
     silent = f"inputs 1 2\noutput 4\n1 INPUT 0\n2 INPUT 0\n3 SUM 0\n4 LT 1 3:{1 << 100} 1:1 2:1\n"
     cases += [(read_circuit(silent), "parity", {})]
+    # Repeated weights on it sum past int64 in a form row, times values that are 0.
+    wrapped = silent.replace(f"3:{1 << 100}", " ".join([f"3:{1 << 61}"] * 4))
+    cases += [(read_circuit(wrapped), "parity", {})]
     # Object-route cases: gate values past int64, reference sums past int64,
     # and gates that can leave the 2**127 budget (a fan-in prefix, a SUM
     # whose bias brings the final value back, an LT gate).
@@ -686,12 +686,26 @@ def test_exhaustive_check_matches_row_by_row(monkeypatch, chunk_bytes):
         (overflow_circuit(gate=f"4 SUM {-B} 1:{B} 2:{B}"), "valueset", zero),
         (overflow_circuit(gate=f"4 SUM 0 3:{B} 2:{B}"), "valueset", rows),
         (overflow_circuit(gate=f"4 LT 0 1:{B} 2:{B} 3:{B}"), "valueset", zero),
+        # Input 1 nets to 0, but the prefix B + B leaves the budget where
+        # x1 = x2 = 1: the bound sums |w| per edge, not per source.
+        (overflow_circuit(gate=f"4 SUM 0 1:{B} 2:{B} 1:{-B}"), "valueset", zero),
+        (overflow_circuit(gate=f"4 SUM 0 1:{B} 2:{B} 1:{-B}"), "valueset", rows),
     ]
+    # The same through a gate source: SUM gate 4 feeds gate 5 twice.
+    inputs = "1 INPUT 0\n2 INPUT 0\n3 INPUT 0\n"
+    twice = read_circuit(
+        f"inputs 1 2 3\noutput 6\n{inputs}4 SUM 0 1:1\n"
+        f"5 SUM 0 4:{B} 2:{B} 4:{-B}\n6 LT {-B - 1} 5:1\n"
+    )
+    cases += [(twice, "valueset", zero), (twice, "valueset", rows)]
+    # Input 1 is the output and feeds gates, one of which leaves the budget.
+    fed = read_circuit(f"inputs 1 2 3\noutput 1\n{inputs}4 SUM 0 1:{B} 2:{B}\n5 LT 1 1:1 3:1\n")
+    cases += [(fed, "parity", {}), (fed, "valueset", dict(weights=(1, 0, 0), values={1}))]
     rng = random.Random(chunk_bytes)
     mismatches = raised = 0
     for trial in range(150):
         c, reference, kw = cases[trial % len(cases)]
-        if trial >= len(cases) and c.ordered_gates:
+        if trial >= len(cases) and c.gate_count:
             c = perturb(c, rng)
         want = outcome(first_mismatch_by_rows, c, reference, **kw)
         assert outcome(exhaustive_check, c, reference, **kw) == want

@@ -18,7 +18,14 @@ from eqkit import (
     write_matrix,
 )
 from eqkit.cli import main
-from oracles import BudgetError, eval_gates, read_gates
+from oracles import (
+    BudgetError,
+    MatrixTextError,
+    eval_gates,
+    matrix_text,
+    read_gates,
+    read_matrix_rows,
+)
 
 
 def run(capsys, *argv):
@@ -877,11 +884,41 @@ def _reference_eval(text, bits):
         return 2, "", f"error: {exc}\n"
 
 
+def _reference_check(text, ref, n, cap):
+    """(exit code, stdout, stderr) of `circuit check`, scanning row by row.
+
+    The reference arity is checked first, then the 2^k rows are charged
+    against the cap; input 0 is the top bit of the row counter.
+    """
+    try:
+        gates, inputs, output = read_gates(text)
+        k = len(inputs)
+        if ref == "parity" and k != n:
+            raise ValueError("parity reference needs n inputs")
+        if ref != "parity" and k != 2 * n:
+            raise ValueError(f"{ref} reference needs 2n inputs")
+        if 1 << k > cap:
+            raise ValueError(f"enumeration needs {1 << k} elementary steps, cap allows {cap}")
+        for row in range(1 << k):
+            bits = [(row >> (k - 1 - t)) & 1 for t in range(k)]
+            x = sum(b << i for i, b in enumerate(bits[:n]))
+            y = sum(b << i for i, b in enumerate(bits[n:]))
+            want = {"parity": sum(bits) % 2 == 1, "eq": x == y, "comp": x >= y}[ref]
+            if eval_gates(gates, inputs, bits)[output] != want:
+                return 1, f"FAIL assignment={' '.join(map(str, bits))}\n", ""
+        return 0, "PASS\n", ""
+    except (ValueError, BudgetError) as exc:
+        return 2, "", f"error: {exc}\n"
+
+
 def test_cli_survives_mutated_files(capsys, tmp_path):
     # Seeded mutations of valid matrix and circuit files: every run ends in
-    # exit 0, 1 or 2, and main never raises.  `circuit eval` exits 2, with
-    # the same message, exactly when the reference reader rejects the file,
-    # and otherwise prints the reference value.
+    # exit 0, 1 or 2, and main never raises.  `verify eq` and `decode` exit
+    # 2 with the reference reader's message exactly when it rejects the
+    # matrix file; otherwise they answer as on the canonical text of what it
+    # read.  `circuit eval` exits 2, with the same message, exactly when the
+    # reference reader rejects the circuit, and otherwise prints the
+    # reference value; `circuit check` answers as a row-by-row scan does.
     rng = random.Random(2024)
     names = ("eq_k2.txt", "crt_4x8.txt", "rmds_n3.txt")
     matrices = [(FIXTURES / name).read_text() for name in names]
@@ -890,29 +927,39 @@ def test_cli_survives_mutated_files(capsys, tmp_path):
         "eq_k2.circ": ("eq", "8"),
         "comp_n3_lt.circ": ("comp", "3"),
     }
-    target = tmp_path / "mutated"
+    target, canonical = tmp_path / "mutated", tmp_path / "canonical"
     codes = []
     for trial in range(240):
         if trial % 2:
             target.write_text(_mutate(rng.choice(matrices), rng))
             runs = [
-                ("--cap", "100000", "verify", "eq", "--q", "2", str(target)),
-                ("decode", str(target), "--z", "1 0 1 1"),
+                ("--cap", "100000", "verify", "eq", "--q", "2", "{}"),
+                ("decode", "{}", "--z", "1 0 1 1"),
             ]
+            try:
+                canonical.write_text(matrix_text(*read_matrix_rows(target.read_text())))
+                rejected = None
+            except MatrixTextError as exc:
+                rejected = (2, "", f"error: {exc}\n")
+            for argv in runs:
+                got = run(capsys, *(str(target) if a == "{}" else a for a in argv))
+                want = rejected or run(capsys, *(str(canonical) if a == "{}" else a for a in argv))
+                assert got == want, (argv, target.read_text())
+                codes.append(got[0])
         else:
             name = rng.choice(sorted(circuits))
             ref, n = circuits[name]
             target.write_text(_mutate((FIXTURES / name).read_text(), rng))
+            text = target.read_text()
             k = 2 * int(n) if ref != "parity" else int(n)
             argv = ("circuit", "eval", str(target), "--input", " ".join("1" * k))
-            assert run(capsys, *argv) == _reference_eval(target.read_text(), [1] * k)
-            runs = [
-                ("--cap", "70000", "circuit", "check", str(target), "--ref", ref, "--n", n),
-                ("circuit", "exactify", str(target)),
-            ]
-        for argv in runs:
-            code, _, err = run(capsys, *argv)
-            assert code in (0, 1, 2), (argv, target.read_text())
+            assert run(capsys, *argv) == _reference_eval(text, [1] * k)
+            argv = ("--cap", "70000", "circuit", "check", str(target), "--ref", ref, "--n", n)
+            got = run(capsys, *argv)
+            assert got == _reference_check(text, ref, int(n), 70000), text
+            codes.append(got[0])
+            code, _, err = run(capsys, "circuit", "exactify", str(target))
+            assert code in (0, 2), text
             assert code != 2 or err.startswith("error: ")
             codes.append(code)
     assert {0, 2} <= set(codes)
