@@ -419,23 +419,22 @@ def _assignment(row: int, k: int) -> tuple[int, ...]:
 def _stream_check(c: ThresholdCircuit, coef: Sequence[int], test):
     """exhaustive_check in aligned chunks of 2**L assignments.
 
-    Form rows run over the inputs, then the gates in topological order: one
+    Form rows run over the inputs, and over the earlier gates as edges: one
     per gate, one of |w| summed per edge (never per source, which could hide
     a partial sum) per gate whose reach passes 2**127, the reference, and a
     unit row for an input that is the output.  In chunk h the first k - L
     inputs are the bits of h, and the last L run through the same 2**L
     columns in every chunk.  So a row's input part splits into a table over
     the low inputs, built once, plus one scalar per chunk from the high
-    inputs; its gate part takes the earlier gates' values (|values| for a
-    bound row).  Rows where a bound reaches 2**127 are replayed by
-    eval_circuit up to the chunk's first mismatch, to raise where it would.
+    inputs; its edges take the earlier gates' values (|values| for a bound
+    row).  Rows where a bound reaches 2**127 are replayed by eval_circuit up
+    to the chunk's first mismatch, to raise where it would.
     """
     k, gates = len(c.inputs), c._ordered_rows
     g = gates.size
     bounds = c._bounds[gates]
     risky = gates[bounds >= _LIMIT]
-    # A weight past int64 on a source that is always 0 leaves its bound small;
-    # so may repeated weights there, whose net weight wraps but multiplies 0.
+    # A weight past int64 on a source that is always 0 leaves its bound small.
     fits = not g or bounds.max() < _INT64_SAFE
     fits = fits and c._weights.dtype != object and sum(map(abs, coef)) < _INT64_SAFE
     dtype = np.int64 if fits else object
@@ -446,20 +445,23 @@ def _stream_check(c: ThresholdCircuit, coef: Sequence[int], test):
     # and unit rows are SUMs with bias 0.
     rules = [(c._kinds[r], c._biases[r]) for r in gates.tolist()]
     rules += [(SUM, abs(c._biases[r])) for r in risky.tolist()] + [(SUM, 0)] * (1 + (out < 0))
-    forms = np.zeros((len(rules), k + g), dtype=dtype)
     owners = np.concatenate([gates, risky])  # the circuit row of each gate or bound row
     counts = np.diff(c._indptr)[owners]
     edges = _ranges(c._indptr[owners], c._indptr[owners + 1])
+    rows, cols = np.arange(owners.size).repeat(counts), col[c._src[edges]]
     weights, split = c._weights[edges], counts[:g].sum()
     weights[split:] = np.abs(weights[split:])
-    np.add.at(forms, (np.arange(owners.size).repeat(counts), col[c._src[edges]]), weights)
-    forms[ref, :k] = coef
+    # Input columns are dense; an edge from a gate stays a (gate, weight) pair.
+    fed = cols >= k
+    forms = np.zeros((len(rules), k), dtype=dtype)
+    np.add.at(forms, (rows[~fed], cols[~fed]), weights[~fed])
+    forms[ref] = coef
     if out < 0:
         forms[-1, out + k] = 1
         out = len(forms) - 1
-    # Each row's nonzero weights on earlier gates, as (gate, weight) pairs.
-    nonzero = [np.flatnonzero(f) for f in forms[:, k:]]
-    feeds = [list(zip(nz.tolist(), f[nz].tolist())) for f, nz in zip(forms[:, k:], nonzero)]
+    pairs = list(zip((cols[fed] - k).tolist(), weights[fed].tolist()))
+    cuts = np.searchsorted(rows[fed], np.arange(len(forms) + 1)).tolist()
+    feeds = [pairs[a:b] for a, b in zip(cuts, cuts[1:])]
     # Per row: a table and a value array per form, and the reference test;
     # an object entry is a pointer plus an int of up to 128 bits.
     row_bytes = (8 if fits else 8 + sys.getsizeof(_LIMIT)) * (2 * len(forms) + 1)
@@ -473,7 +475,7 @@ def _stream_check(c: ThresholdCircuit, coef: Sequence[int], test):
     # A form without low inputs gets a single zero, which broadcasts.
     tables = [
         _keys(f[low:][::-1], range(2)).copy() if f[low:].any() else np.zeros(1, dtype)
-        for f in forms[:, :k]
+        for f in forms
     ]
     high = forms[:, :low]
     shifts = np.arange(low - 1, -1, -1, dtype=np.int64)

@@ -15,8 +15,8 @@ also bounds is_rmds's product and circuit checks, so memory stays bounded at
 any cap, which is still charged (2q-1)^n (kernel) or q^n (injectivity).
 
 is_rmds decides all m-row blocks at once from the zero pattern of A x over
-one vector of each +-x pair, unless the engine's block-by-block search is
-timed to cost less; the cap is charged C(rows, m) q^n.
+one vector of each +-x pair, unless checking the blocks one by one with the
+engine costs fewer element operations; the cap is charged C(rows, m) q^n.
 """
 
 from __future__ import annotations
@@ -325,15 +325,14 @@ def is_rmds(
 def _zero_pattern_pays(rows: int, m: int, n: int, q: int) -> bool:
     """Whether one zero-pattern product costs no more than the block loop.
 
-    Counted in the product's adds, one per row and half-box vector.  Timed
-    on passing matrices (q = 2, 3 and n = 3..14, a 2-core x86 VM), a block's
-    search costs 22,000 adds plus 15 per low-table key, (2q-1)^ceil(n/2),
-    and per high counter it scans, about (2q-1)^floor(n/2) / 2.
+    Counted in element operations: the product costs one add per row for
+    each of the ((2q-1)^n - 1)/2 half-box vectors, and the loop is charged
+    a sort of q^n keys for each of the C(rows, m) blocks, more than its
+    meet-in-the-middle search does.
     """
-    base = 2 * q - 1
-    half_box = (base**n - 1) // 2
-    block = 22_000 + 15 * (base ** ((n + 1) // 2) + base ** (n // 2) // 2)
-    return rows * half_box <= math.comb(rows, m) * block
+    keys = q**n
+    half_box = ((2 * q - 1) ** n - 1) // 2
+    return rows * half_box <= math.comb(rows, m) * keys * keys.bit_length()
 
 
 def _zero_pattern_block(a: IntMatrix, m: int, q: int) -> Optional[tuple[int, ...]]:

@@ -661,7 +661,7 @@ def test_exhaustive_check_matches_row_by_row(monkeypatch, chunk_bytes):
     # A weight past int64 on a SUM gate that is always 0: the gate bounds stay small.
     silent = f"inputs 1 2\noutput 4\n1 INPUT 0\n2 INPUT 0\n3 SUM 0\n4 LT 1 3:{1 << 100} 1:1 2:1\n"
     cases += [(read_circuit(silent), "parity", {})]
-    # Repeated weights on it sum past int64 in a form row, times values that are 0.
+    # Repeated weights on it sum past int64, each times a value that is 0.
     wrapped = silent.replace(f"3:{1 << 100}", " ".join([f"3:{1 << 61}"] * 4))
     cases += [(read_circuit(wrapped), "parity", {})]
     # Object-route cases: gate values past int64, reference sums past int64,
@@ -786,13 +786,21 @@ def test_exhaustive_check_memory_is_bounded():
     # 2**22 assignments; evaluating them all at once takes several hundred MB.
     n = 11
     c = compile_eq_circuit(build_crt(n, choose_primes(n)))
-    tracemalloc.start()
-    try:
-        assert exhaustive_check(c, "eq", n=n) is None
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 << 20
+    # 4,000 XOR gates on 2 inputs and an AND of them: forms with a column per
+    # gate would take 4,000**2 entries, 128 MB.
+    g = 4000
+    lines = ["inputs 1 2", f"output {g + 3}", "1 INPUT 0", "2 INPUT 0"]
+    lines += [f"{t} EXACT 1 1:1 2:1" for t in range(3, g + 3)]
+    lines += [f"{g + 3} LT {g} " + " ".join(f"{t}:1" for t in range(3, g + 3))]
+    wide = read_circuit("\n".join(lines) + "\n")
+    for circuit, reference, kw, limit in [(c, "eq", dict(n=n), 64), (wide, "parity", {}, 16)]:
+        tracemalloc.start()
+        try:
+            assert exhaustive_check(circuit, reference, **kw) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit << 20
 
 
 def test_exhaustive_check_object_route_memory_is_bounded():

@@ -513,22 +513,9 @@ def test_rmds_routes_agree_on_sampled_candidates(monkeypatch):
 
 
 def test_rmds_route_follows_element_counts():
-    # The search shape (8 rows, m = 2, n = 4, q = 3) and compile-comp n=3
-    # (6 rows) take the product.
+    # The search shape: 8 * 312 adds against 28 sorts of 81 keys.
     assert verify._zero_pattern_pays(8, 2, 4, 3)
-    assert verify._zero_pattern_pays(6, 2, 3, 3)
-    # (rows, m, q), the largest n timed faster by the product and the
-    # smallest n timed faster by the block loop, on passing matrices.
-    for rows, m, q, product, blocks in [
-        (6, 2, 2, 10, 11),
-        (4, 1, 2, 9, 10),
-        (4, 2, 3, 7, 8),
-        (3, 1, 3, 6, 8),
-        (12, 2, 2, 10, 12),
-    ]:
-        assert verify._zero_pattern_pays(rows, m, product, q)
-        assert not verify._zero_pattern_pays(rows, m, blocks, q)
-    # m = 1 and n = 20: 3^20 / 2 vectors per row against 3^10 keys per row.
+    # m = 1 and n = 20: 3^20 / 2 vectors per row against 2^20 keys per row.
     assert not verify._zero_pattern_pays(4, 1, 20, 2)
 
 
