@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .matrix import _CHUNK_BYTES, _INT64_SAFE, _LIMIT, IntMatrix, _checked_sum, checked
+from .matrix import _CHUNK_BYTES, _INT64_SAFE, _LIMIT, IntMatrix, _checked_sum, _column, checked
 from .verify import _check_cap, _keys, is_eq_q, is_rmds
 
 INPUT = "INPUT"
@@ -73,27 +73,11 @@ class Gate:
     bias: int = 0
 
     def __post_init__(self) -> None:
-        _check_kind(self.kind, bool(self.fan_in))
-        fan = tuple(self.fan_in)
-        sources, weights = zip(*fan, strict=True) if fan else ((), ())
-        # Pairs that are already tuples of exact ints are kept, not copied.
-        if set(map(type, fan + sources + weights)) != {tuple, int}:
-            weights = tuple(map(int, weights))
-            fan = tuple(zip(map(int, sources), weights))
-        _check_weights(weights)
+        fan = tuple((int(src), int(w)) for src, w in self.fan_in)
+        _check_kind(self.kind, bool(fan))
+        _check_weights([w for _, w in fan])
         object.__setattr__(self, "fan_in", fan)
         object.__setattr__(self, "bias", checked(int(self.bias)))
-
-
-def _column(values: Sequence[int]) -> np.ndarray:
-    """values as int64 when each lies below _INT64_SAFE in magnitude, else as exact ints."""
-    try:
-        col = np.array(values, dtype=np.int64)
-        if not col.size or (col.max() < _INT64_SAFE and col.min() > -_INT64_SAFE):
-            return col
-    except OverflowError:
-        pass
-    return np.array(values, dtype=object)
 
 
 def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -525,8 +509,9 @@ def compile_eq_circuit(
 
 def _difference_fan(a: IntMatrix, i: int, start: int) -> list[tuple[int, int]]:
     """Fan-in of row i of A, restricted to columns start.., on x minus y."""
-    fan = [(j + 1, a[i, j]) for j in range(start, a.n) if a[i, j]]
-    return fan + [(a.n + j + 1, -a[i, j]) for j in range(start, a.n) if a[i, j]]
+    cols = np.flatnonzero(a.array[i, start:]) + start
+    weights = a.array[i, cols].tolist()
+    return [*zip((cols + 1).tolist(), weights), *zip((cols + a.n + 1).tolist(), map(neg, weights))]
 
 
 def _depth_two(
@@ -613,9 +598,9 @@ def compile_comp_circuit(
     # Fan-in pairs: r*m*n layer gates of at most 2n each, and the top gate's.
     _check_cap(r * m * n * (2 * n + 1), cap)
     layer = [
-        (_difference_fan(a, i, level), -a[i, level])
+        (_difference_fan(a, i, level), -v)
         for level in range(n)
-        for i in range(r * m)
+        for i, v in enumerate(a.column(level))
     ]
     return _depth_two(2 * n, layer, LT, -1, -n * (m - 1) + 1)
 

@@ -14,14 +14,13 @@ the i-th prime.
 
 from __future__ import annotations
 
-import operator
 from typing import Iterable, Optional
+
+import numpy as np
 
 from .matrix import ConstructionTrace, IntMatrix
 
 _DEFAULT_BASE = IntMatrix.from_rows([[1]])
-
-_Rows = tuple[tuple[int, ...], ...]
 
 
 def construct_eq(k: int, base: Optional[IntMatrix] = None) -> tuple[IntMatrix, ConstructionTrace]:
@@ -39,9 +38,10 @@ def construct_eq_q(
     responsibility (the verification module offers the oracle).
     """
     trace = construction_trace(k, q, base)
-    rows = (_DEFAULT_BASE if base is None else base).entries
+    rows = (_DEFAULT_BASE if base is None else base).array
     for _ in range(k):
         rows = _expand(rows, q)
+    rows.flags.writeable = False  # IntMatrix keeps a read-only array, not a copy
     current = IntMatrix(rows)
     if (current.m, current.n) != (trace.rows, trace.cols):
         raise AssertionError("construction does not match the dimension law")
@@ -63,19 +63,12 @@ def construction_trace(
     return ConstructionTrace(base.m, base.n, k, q)
 
 
-def _expand(rows: _Rows, q: int) -> _Rows:
-    """One step of the block recursion on plain row tuples."""
-    m, n = len(rows), len(rows[0])
-    zeros = (0,) * n
-    out = []
-    for i, row in enumerate(rows):
-        out.append(row * q + (0,) * i + (1,) + (0,) * (m - i - 1))
-    negated = [tuple(map(operator.neg, row)) for row in rows]
-    for t in range(1, q):
-        left, right = zeros * (t - 1), zeros * (q - t - 1) + (0,) * m
-        for row, neg in zip(rows, negated):
-            out.append(left + row + neg + right)
-    return tuple(out)
+def _expand(a: np.ndarray, q: int) -> np.ndarray:
+    """One step of the block recursion, as one np.block."""
+    zero, corner = np.broadcast_to(np.zeros(1, a.dtype), a.shape), np.zeros((len(a),) * 2, a.dtype)
+    first = [a] * q + [np.eye(len(a), dtype=a.dtype)]
+    rest = [[zero] * (t - 1) + [a, -a] + [zero] * (q - t - 1) + [corner] for t in range(1, q)]
+    return np.block([first, *rest])
 
 
 def is_prime(p: int) -> bool:
@@ -161,4 +154,4 @@ def truncate_columns(a: IntMatrix, keep: Iterable[int]) -> IntMatrix:
         raise ValueError("column selection must be nonempty")
     if cols[0] < 0 or cols[-1] >= a.n:
         raise ValueError(f"column index out of range for {a.m}x{a.n} matrix")
-    return IntMatrix.from_rows([[row[j] for j in cols] for row in a.entries])
+    return IntMatrix(a.array.take(cols, axis=1))

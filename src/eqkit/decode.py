@@ -1,4 +1,4 @@
-"""Linear-time recursive decoding of binary vectors from their matrix image.
+"""Linear-time decoding of binary vectors from their matrix image, a level at a time.
 
 For a matrix grown by the binary block recursion from the 1x1 base [1],
 z = A*x splits as z = (z1, z2) and the preimage parts follow from
@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .matrix import ConstructionTrace, IntMatrix, matvec
+import numpy as np
+
+from .matrix import ConstructionTrace, IntMatrix, _column, matvec
 
 
 class NotInImageError(ValueError):
@@ -52,27 +54,18 @@ def decode(
         raise ValueError(
             f"target length {len(z)} does not match trace rows {trace.rows}"
         )
-    return tuple(_decode(trace.k, tuple(int(v) for v in z), counter))
-
-
-def _decode(k: int, z: tuple[int, ...], counter: Optional[OpCounter]) -> list[int]:
-    if k == 0:
-        if z[0] not in (0, 1):
-            raise NotInImageError("z not in image")
-        return [z[0]]
-    half = len(z) // 2
-    z1, z2 = z[:half], z[half:]
-    bits = []
-    left = []
-    right = []
-    for u, v in zip(z1, z2):
-        s = u + v
-        bit = s % 2
-        bits.append(bit)
-        left.append((s - bit) // 2)
-        right.append((u - v - bit) // 2)
+    # Each level splits every block into two blocks (left, right) and its bits x3.
+    blocks, parities = _column(list(map(int, z)))[None, :], []
+    for _ in range(trace.k):
+        z1, z2 = np.hsplit(blocks, 2)
+        bits = (z1 + z2) % 2
+        parities.append(bits)
+        blocks = np.hstack(((z1 + z2 - bits) // 2, (z1 - z2 - bits) // 2)).reshape(-1, z1.shape[1])
     if counter is not None:
-        counter.ops += 7 * half
-    x1 = _decode(k - 1, tuple(left), counter)
-    x2 = _decode(k - 1, tuple(right), counter)
-    return x1 + x2 + bits
+        counter.ops += 7 * trace.k * trace.rows // 2
+    if ((blocks != 0) & (blocks != 1)).any():
+        raise NotInImageError("z not in image")
+    x = blocks  # x = (x1, x2, x3) for each block, from the leaves up
+    for bits in reversed(parities):
+        x = np.hstack((x.reshape(len(bits), -1), bits))
+    return tuple(x.ravel().tolist())

@@ -1,7 +1,9 @@
 """Exact integer matrices, alphabets, and the shared text serialization.
 
-Everything here is plain Python integer arithmetic guarded by a fixed
-127-bit signed magnitude budget: a value that leaves the budget raises
+A matrix is one read-only 2-D numpy array under the rule that also stores
+circuit columns (_column): int64 while every entry lies below 2^62 in
+magnitude, exact Python ints past that.  Every value is guarded by a fixed
+127-bit signed magnitude budget: a value that leaves it raises
 MagnitudeError instead of growing silently.  Matrices are immutable after
 construction and safe to share across threads.
 """
@@ -12,6 +14,8 @@ import operator
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 MAGNITUDE_BITS = 127
 _LIMIT = 1 << MAGNITUDE_BITS
@@ -46,60 +50,89 @@ def _checked_sum(terms: Iterable[int], bound: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable row-major signed-integer matrix with a cached weight bound."""
+def _column(values) -> np.ndarray:
+    """values as int64 when each lies below _INT64_SAFE in magnitude, else as exact ints.
 
-    entries: tuple[tuple[int, ...], ...]
-    weight_bound: int = field(init=False, compare=False)
+    An int64 array that already keeps the rule is returned as it is.
+    """
+    try:
+        col = np.asarray(values, dtype=np.int64)
+        if not col.size or (col.max() < _INT64_SAFE and col.min() > -_INT64_SAFE):
+            return col
+    except OverflowError:
+        pass
+    return np.frompyfunc(int, 1, 1)(np.array(values, dtype=object))
+
+
+@dataclass(frozen=True, eq=False)
+class IntMatrix:
+    """Immutable signed-integer matrix: one read-only 2-D array and its weight bound.
+
+    Rows of any iterables are copied into ``array`` by the _column rule; a
+    read-only array that owns its memory is kept as it is.  ``entries``,
+    ``row``, ``column`` and ``a[i, j]`` read Python ints.
+    """
+
+    array: np.ndarray
+    weight_bound: int = field(init=False)
 
     def __post_init__(self) -> None:
-        rows = []
-        bound = 0
-        for row in self.entries:
-            # Rows that are already tuples of exact ints are kept, not copied.
-            if type(row) is not tuple or set(map(type, row)) != {int}:
-                row = tuple(map(int, row))
-            if rows and len(row) != len(rows[0]):
+        rows = self.array
+        if not isinstance(rows, np.ndarray):
+            rows = [*map(list, rows)]
+            if not rows or not rows[0]:
+                raise ValueError("matrix needs at least one row and one column")
+            if any(len(row) != len(rows[0]) for row in rows):
                 raise ValueError("ragged rows")
-            if not row:
-                break  # an empty first row
-            high, low = max(row), min(row)
-            if high >= _LIMIT or low <= -_LIMIT:
-                for v in row:  # name the first entry out of budget
-                    checked(v)
-            bound = max(bound, high, -low)
-            rows.append(row)
-        if not rows:
+        array = _column(rows)
+        if array is rows and (rows.flags.writeable or rows.base is not None):
+            array = rows.copy()
+        if array.ndim != 2 or not array.size:
             raise ValueError("matrix needs at least one row and one column")
-        object.__setattr__(self, "entries", tuple(rows))
+        bound = int(max(array.max(), -array.min()))
+        if bound >= _LIMIT:  # only exact ints reach 2^62
+            for v in array.flat:  # name the first entry out of budget
+                checked(v)
+        array.flags.writeable = False
+        object.__setattr__(self, "array", array)
         object.__setattr__(self, "weight_bound", bound)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        return cls(tuple(rows))
+        return cls(rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls(np.eye(n, dtype=np.int64))
 
     @property
     def m(self) -> int:
-        return len(self.entries)
+        return self.array.shape[0]
 
     @property
     def n(self) -> int:
-        return len(self.entries[0])
+        return self.array.shape[1]
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.array.tolist()))
 
     def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
+        return tuple(self.array[i].tolist())
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
+        return tuple(self.array[:, j].tolist())
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.entries[i][j]
+        return int(self.array[ij])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return bool(np.array_equal(self.array, other.array))
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
 
     def __str__(self) -> str:
         return write_matrix(self)
@@ -171,9 +204,11 @@ def matvec(a: IntMatrix, x: Sequence[int]) -> tuple[int, ...]:
     """Exact product A*x with overflow-checked accumulation."""
     if len(x) != a.n:
         raise ValueError(f"vector length {len(x)} does not match {a.m}x{a.n} matrix")
-    x = tuple(map(int, x))
+    x = list(map(int, x))
     bound = a.weight_bound * sum(map(abs, x))
-    return tuple(_checked_sum(map(operator.mul, row, x), bound) for row in a.entries)
+    if bound < 1 << 63:  # every partial sum of a row fits in int64
+        return tuple((a.array @ _column(x)).tolist())
+    return tuple(_checked_sum(map(operator.mul, row, x), bound) for row in a.array.tolist())
 
 
 _TRACE_RE = re.compile(
@@ -187,7 +222,7 @@ def write_matrix(a: IntMatrix, trace: Optional[ConstructionTrace] = None) -> str
     if trace is not None:
         lines.append(f"# trace m0={trace.m0} n0={trace.n0} k={trace.k} q={trace.q}")
     lines.append(f"{a.m} {a.n}")
-    lines.extend(" ".join(str(v) for v in row) for row in a.entries)
+    lines.extend(" ".join(str(v) for v in row) for row in a.array.tolist())
     lines.append("")  # a final newline without copying the joined text
     return "\n".join(lines)
 
@@ -208,19 +243,16 @@ def read_matrix(text: str) -> tuple[IntMatrix, Optional[ConstructionTrace]]:
         pos += 1
     if pos >= len(lines):
         raise MatrixFormatError("missing header line")
-    header = lines[pos].split()
-    if len(header) != 2:
-        raise MatrixFormatError(f"malformed header {lines[pos]!r}")
     try:
-        m, n = int(header[0]), int(header[1])
+        m, n = map(int, lines[pos].split())
+        if m < 1 or n < 1:
+            raise ValueError
     except ValueError:
         raise MatrixFormatError(f"malformed header {lines[pos]!r}") from None
-    if m < 1 or n < 1:
-        raise MatrixFormatError(f"malformed header {lines[pos]!r}")
     body = lines[pos + 1 :]
     if len(body) != m:
         raise MatrixFormatError(f"expected {m} rows, found {len(body)}")
-    rows = []
+    values: list[int] = []
     for line in body:
         tokens = line.split()
         if len(tokens) != n:
@@ -228,7 +260,7 @@ def read_matrix(text: str) -> tuple[IntMatrix, Optional[ConstructionTrace]]:
                 f"expected {n} entries per row, found {len(tokens)}"
             )
         try:
-            rows.append(tuple(map(int, tokens)))
+            values += map(int, tokens)
         except ValueError:
             raise MatrixFormatError(f"non-integer token in row {line!r}") from None
-    return IntMatrix.from_rows(rows), trace
+    return IntMatrix(_column(values).reshape(m, n)), trace

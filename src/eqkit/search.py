@@ -11,6 +11,8 @@ import hashlib
 import math
 from typing import Optional
 
+import numpy as np
+
 from .matrix import AlphabetSpec, IntMatrix
 from .verify import _check_cap, _theorem3_bound, is_rmds
 
@@ -47,7 +49,7 @@ def sample_matrix(rows: int, n: int, weight: int, seed: int, attempt: int) -> In
     rejection_bound = _WORD_MAX - (_WORD_MAX % span)
     sha256, from_bytes = hashlib.sha256, int.from_bytes
     suffixes = [f"{j}/0".encode() for j in range(n)]
-    matrix = []
+    values: list[int] = []
     for i in range(rows):
         prefix = f"{seed}/{attempt}/{i}/".encode()
         words = [from_bytes(sha256(prefix + s).digest()[:8], "big") for s in suffixes]
@@ -57,8 +59,8 @@ def sample_matrix(rows: int, n: int, weight: int, seed: int, attempt: int) -> In
                 w if w < rejection_bound else _entry_value(seed, attempt, i, j, span)
                 for j, w in enumerate(words)
             ]
-        matrix.append(tuple([w % span - weight for w in words]))
-    return IntMatrix(tuple(matrix))
+        values += [w % span - weight for w in words]
+    return IntMatrix(np.array(values, dtype=np.int64).reshape(rows, n))  # |draws| < 2^63
 
 
 def theorem3_rate_cap(weight: int) -> int:

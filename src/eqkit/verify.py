@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -132,12 +133,10 @@ def _packed_row(a: IntMatrix, q: int) -> np.ndarray:
     below _INT64_SAFE (every partial sum of c.x then fits), else an object
     array of exact Python ints.
     """
-    coef = [0] * a.n
-    weight = 1
-    for row in a.entries:
-        coef = [c + weight * v for c, v in zip(coef, row)]
-        weight *= 2 * (q - 1) * sum(abs(v) for v in row) + 1
-    return np.array(coef, dtype=np.int64 if weight < _INT64_SAFE else object)
+    factors = (2 * (q - 1) * sum(map(abs, row)) + 1 for row in a.array.tolist())
+    weights = [*itertools.accumulate(factors, operator.mul, initial=1)]
+    dtype = np.int64 if weights[-1] < _INT64_SAFE else object
+    return np.array(weights[:-1], dtype=dtype) @ a.array  # exact ints stay exact times int64
 
 
 @lru_cache(maxsize=32)
@@ -285,8 +284,7 @@ def is_mds(a: IntMatrix, cap: Optional[int] = None) -> Optional[tuple[int, ...]]
         raise ValueError("is_mds requires m <= n")
     _check_cap(math.comb(n, m) * m**3, cap)
     for cols in itertools.combinations(range(n), m):
-        square = [[a.entries[i][j] for j in cols] for i in range(m)]
-        if det_bareiss(square) == 0:
+        if det_bareiss(a.array[:, cols].tolist()) == 0:
             return cols
     return None
 
@@ -314,9 +312,9 @@ def is_rmds(
         rows = _zero_pattern_block(a, m, q)
         if rows is None:
             return None
-        return RmdsWitness(rows, IntMatrix.from_rows(a.entries[i] for i in rows), q)
+        return RmdsWitness(rows, IntMatrix(a.array.take(rows, axis=0)), q)
     for rows in itertools.combinations(range(a.m), m):
-        block = IntMatrix.from_rows(a.entries[i] for i in rows)
+        block = IntMatrix(a.array.take(rows, axis=0))
         if _kernel_search(block, q) is not None:
             return RmdsWitness(rows, block, q)
     return None
@@ -371,7 +369,7 @@ def _half_box_zeros(a: IntMatrix, q: int):
     """
     n, base, values = a.n, 2 * q - 1, range(1 - q, q)
     fits = a.weight_bound * (q - 1) * n < _INT64_SAFE
-    coef = np.array(a.entries, dtype=np.int64 if fits else object)
+    coef = a.array if fits else a.array.astype(object)
     # Per vector: its zero count, hit index and sort key; per row and vector:
     # the sum or a sort index (8 bytes), this chunk's and the last chunk's
     # zero flags and a negated copy, and on the object path a Python int of

@@ -7,14 +7,19 @@ import pytest
 from conftest import FIXTURES
 from eqkit import (
     ConstructionTrace,
+    Gate,
     IntMatrix,
+    MagnitudeError,
+    ThresholdCircuit,
     cli,
     construct,
     construct_eq,
+    exactify_to_lt,
     matvec,
     read_circuit,
     read_matrix,
     search,
+    write_circuit,
     write_matrix,
 )
 from eqkit.cli import main
@@ -911,14 +916,52 @@ def _reference_check(text, ref, n, cap):
         return 2, "", f"error: {exc}\n"
 
 
+def _reference_exactify(text):
+    """(exit code, stdout, stderr) of `circuit exactify` on the reference reader's gates."""
+    try:
+        gates, inputs, output = read_gates(text)
+        c = ThresholdCircuit(
+            [Gate(gid, kind, fan, bias) for gid, (kind, fan, bias) in gates.items()],
+            inputs,
+            output,
+        )
+        return 0, write_circuit(exactify_to_lt(c)), ""
+    except (ValueError, BudgetError, MagnitudeError) as exc:
+        return 2, "", f"error: {exc}\n"
+
+
+# Tokens int() takes that a plain-digit reader must not read by itself:
+# signs, leading zeros, underscores, non-ASCII digits, 19 digits or more,
+# and the separators str.split() and str.splitlines() know.
+_ODD_MATRICES = (
+    "2 2\n+3 007\n-0 1\n",
+    "1 2\n1_0 -0_1\n",
+    "1 3\n\u0663 -\u0661\u0660 7\n",
+    "2 2\n1234567890123456789 -9223372036854775808\n-0000000000000000001 9999999999999999999\n",
+    f"1 2\n{2**127 - 1} -{2**127 - 1}\n",
+    f"1 2\n0{2**127} 1\n",
+    "2 2\n1\x0b2\n3 4\n",
+    "1 2\n1\x0c2\n",
+    "1 2\n1 \x0b 2\n",
+    "2 2\n1\t2\n\t3 \t4 \t \n",
+    "# trace m0=1 n0=1 k=1 q=2 \n2 3\t\n1 1  1   \n1 -1 0\t\n",
+    "1 2\n1__0 2\n",
+    "1 2\n--1 2\n",
+    "1 2\n1-2 3\n",
+)
+
+
 def test_cli_survives_mutated_files(capsys, tmp_path):
     # Seeded mutations of valid matrix and circuit files: every run ends in
-    # exit 0, 1 or 2, and main never raises.  `verify eq` and `decode` exit
-    # 2 with the reference reader's message exactly when it rejects the
-    # matrix file; otherwise they answer as on the canonical text of what it
-    # read.  `circuit eval` exits 2, with the same message, exactly when the
-    # reference reader rejects the circuit, and otherwise prints the
-    # reference value; `circuit check` answers as a row-by-row scan does.
+    # exit 0, 1 or 2, and main never raises.  read_matrix reads the values
+    # the reference reader reads, or raises its message.  `verify eq` and
+    # `decode` exit 2 with that message exactly when it rejects the matrix
+    # file; otherwise they answer as on the canonical text of what it read.
+    # The odd-token matrices run the same checks.  `circuit eval` exits 2,
+    # with the same message, exactly when the reference reader rejects the
+    # circuit, and otherwise prints the reference value; `circuit check`
+    # answers as a row-by-row scan does, and `circuit exactify` prints the
+    # rewrite of the reference reader's gates.
     rng = random.Random(2024)
     names = ("eq_k2.txt", "crt_4x8.txt", "rmds_n3.txt")
     matrices = [(FIXTURES / name).read_text() for name in names]
@@ -929,23 +972,33 @@ def test_cli_survives_mutated_files(capsys, tmp_path):
     }
     target, canonical = tmp_path / "mutated", tmp_path / "canonical"
     codes = []
+
+    def check_matrix(text):
+        target.write_text(text)
+        text = target.read_text()  # as the CLI reads it back
+        runs = [
+            ("--cap", "100000", "verify", "eq", "--q", "2", "{}"),
+            ("decode", "{}", "--z", "1 0 1 1"),
+        ]
+        try:
+            rows, trace = read_matrix_rows(text)
+            canonical.write_text(matrix_text(rows, trace))
+            rejected = None
+            assert read_matrix(text)[0].entries == tuple(map(tuple, rows)), text
+        except MatrixTextError as exc:
+            rejected = (2, "", f"error: {exc}\n")
+            with pytest.raises(ValueError if "budget" not in str(exc) else MagnitudeError) as got:
+                read_matrix(text)
+            assert str(got.value) == str(exc), text
+        for argv in runs:
+            got = run(capsys, *(str(target) if a == "{}" else a for a in argv))
+            want = rejected or run(capsys, *(str(canonical) if a == "{}" else a for a in argv))
+            assert got == want, (argv, text)
+            codes.append(got[0])
+
     for trial in range(240):
         if trial % 2:
-            target.write_text(_mutate(rng.choice(matrices), rng))
-            runs = [
-                ("--cap", "100000", "verify", "eq", "--q", "2", "{}"),
-                ("decode", "{}", "--z", "1 0 1 1"),
-            ]
-            try:
-                canonical.write_text(matrix_text(*read_matrix_rows(target.read_text())))
-                rejected = None
-            except MatrixTextError as exc:
-                rejected = (2, "", f"error: {exc}\n")
-            for argv in runs:
-                got = run(capsys, *(str(target) if a == "{}" else a for a in argv))
-                want = rejected or run(capsys, *(str(canonical) if a == "{}" else a for a in argv))
-                assert got == want, (argv, target.read_text())
-                codes.append(got[0])
+            check_matrix(_mutate(rng.choice(matrices), rng))
         else:
             name = rng.choice(sorted(circuits))
             ref, n = circuits[name]
@@ -958,8 +1011,9 @@ def test_cli_survives_mutated_files(capsys, tmp_path):
             got = run(capsys, *argv)
             assert got == _reference_check(text, ref, int(n), 70000), text
             codes.append(got[0])
-            code, _, err = run(capsys, "circuit", "exactify", str(target))
-            assert code in (0, 2), text
-            assert code != 2 or err.startswith("error: ")
-            codes.append(code)
+            got = run(capsys, "circuit", "exactify", str(target))
+            assert got == _reference_exactify(text), text
+            codes.append(got[0])
+    for text in _ODD_MATRICES:
+        check_matrix(text)
     assert {0, 2} <= set(codes)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -80,6 +81,20 @@ def test_q3_second_iteration_shape():
 def test_q2_specializes_to_binary_recursion(eq_4x8):
     a, _ = construct_eq_q(2, 2)
     assert a == eq_4x8
+
+
+def test_construction_memory_stays_under_twice_the_result():
+    # construct_eq(9) is 512 x 2816 int64 entries (11 MB); its recursion
+    # keeps one array per step and hands the last one over without a copy.
+    construct_eq(1)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        a, _ = construct_eq(9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (a.m, a.n) == (512, 2816)
+    assert peak < 2 * a.array.nbytes, peak
 
 
 def test_base_entries_are_validated():

@@ -18,8 +18,10 @@ from eqkit import (
     construct_eq_q,
     matvec,
     read_matrix,
+    sample_matrix,
     write_matrix,
 )
+from eqkit.search import _entry_value
 from oracles import apply_rows
 
 
@@ -210,9 +212,80 @@ def test_entries_become_exact_ints():
     assert all(type(v) is int for row in b.entries for v in row)
 
 
-def test_exact_int_rows_are_kept():
-    row = (1, -1, 0)
-    assert IntMatrix((row, (0, 0, 1))).entries[0] is row
+SAFE = 2**62
+
+
+def test_storage_rule_boundaries():
+    # int64 below 2^62, exact ints from 2^62, accepted up to the budget.
+    for top, dtype in ((SAFE - 1, np.int64), (SAFE, object), (TOP, object)):
+        for v in (top, -top):
+            rows = [[0, v], [1, -1]]
+            for a in (IntMatrix.from_rows(rows), read_matrix(write_matrix(IntMatrix(rows)))[0]):
+                assert a.array.dtype == dtype and a.array.shape == (2, 2)
+                assert a.entries == ((0, v), (1, -1)) and a.weight_bound == top
+                assert all(type(x) is int for x in a.array.ravel().tolist())
+    for bad in (2**127, -(2**127)):
+        text = f"2 2\n0 {-TOP}\n{bad} {-bad}\n"
+        rows = [[0, -TOP], [bad, -bad]]
+        for make in (lambda: IntMatrix.from_rows(rows), lambda: read_matrix(text)):
+            with pytest.raises(MagnitudeError, match=f"^\\|{bad}\\| exceeds"):
+                make()
+
+
+def test_sample_matrix_keeps_the_storage_rule():
+    # The sampler draws from one 64-bit word, so its spans stop below 2^64.
+    for weight in (SAFE - 1, SAFE, SAFE + SAFE // 2, 2**63 - 1):
+        a = sample_matrix(6, 5, weight, 3, 1)
+        span = 2 * weight + 1
+        want = [[_entry_value(3, 1, i, j, span) - weight for j in range(5)] for i in range(6)]
+        assert a.entries == tuple(map(tuple, want))
+        exact = a.weight_bound >= SAFE
+        assert a.array.dtype == (object if exact else np.int64)
+        # Past 2^62, each of the 30 draws reaches 2^62 with probability >= 1/3.
+        assert exact == (weight > SAFE)
+
+
+def test_matrix_from_tuples_int64_and_object_arrays_agree():
+    for rows in ([[1, -2, 0], [3, 4, -5]], [[SAFE, 0, 1], [-1, 2, -TOP]]):
+        tuples = IntMatrix(tuple(map(tuple, rows)))
+        as_object = IntMatrix(np.array(rows, dtype=object))
+        same = [tuples, as_object]
+        if tuples.weight_bound < SAFE:
+            same.append(IntMatrix(np.array(rows, dtype=np.int64)))
+        for b in same:
+            assert b == tuples and hash(b) == hash(tuples)
+            assert b.array.dtype == tuples.array.dtype
+            assert write_matrix(b) == write_matrix(tuples)
+    assert IntMatrix([[1, 2]]) != IntMatrix([[1], [2]])
+    assert IntMatrix([[1, 2]]) != IntMatrix([[1, 3]])
+
+
+def test_stored_array_is_a_read_only_copy():
+    source = np.array([[1, -1], [0, 2]])
+    a = IntMatrix(source)
+    source[0, 0] = 7
+    assert a.entries == ((1, -1), (0, 2))
+    for b in (a, IntMatrix([[SAFE, 1]])):
+        with pytest.raises(ValueError, match="read-only"):
+            b.array[0, 0] = 5
+    # A read-only array that owns its memory is kept, not copied.
+    source.flags.writeable = False
+    assert IntMatrix(source).array is source
+    view = source[:, :1]
+    assert IntMatrix(view).array is not view
+
+
+def test_matvec_on_both_sides_of_the_int64_product():
+    # weight_bound * sum|x| below 2^63 takes one int64 product; at 2^63 and
+    # past it, the exact sum.  (3, 3, 0) gives -3 * 2^62, which int64 wraps.
+    w = 2**61
+    a = IntMatrix.from_rows([[w, -w, 1], [-w, -w, 0]])
+    for x in ((1, 2, 0), (1, 0, 2), (2, 2, 0), (3, 3, 0), (3, -1, 5), (2**60, 0, 0)):
+        want = tuple(sum(v * xi for v, xi in zip(row, x)) for row in a.entries)
+        got = matvec(a, x)
+        assert got == want and all(type(v) is int for v in got)
+    zero = IntMatrix.from_rows([[0, 0]])
+    assert matvec(zero, (2**100, -(2**100))) == (0,)
 
 
 def test_ragged_and_empty_rows_raise():
