@@ -65,7 +65,6 @@ def decode(
         counter.ops += 7 * trace.k * trace.rows // 2
     if ((blocks != 0) & (blocks != 1)).any():
         raise NotInImageError("z not in image")
-    x = blocks  # x = (x1, x2, x3) for each block, from the leaves up
-    for bits in reversed(parities):
-        x = np.hstack((x.reshape(len(bits), -1), bits))
-    return tuple(x.ravel().tolist())
+    for bits in reversed(parities):  # each block's x = (x1, x2, x3), from the leaves up
+        blocks = np.hstack((blocks.reshape(len(bits), -1), bits))
+    return tuple(blocks.ravel().tolist())

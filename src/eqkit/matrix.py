@@ -90,7 +90,7 @@ class IntMatrix:
         if array.ndim != 2 or not array.size:
             raise ValueError("matrix needs at least one row and one column")
         bound = int(max(array.max(), -array.min()))
-        if bound >= _LIMIT:  # only exact ints reach 2^62
+        if bound >= _LIMIT:  # int64 entries lie below 2^62, so only exact ints get here
             for v in array.flat:  # name the first entry out of budget
                 checked(v)
         array.flags.writeable = False
