@@ -310,14 +310,10 @@ def is_rmds(
     _check_cap(math.comb(a.m, m) * q**a.n, cap)
     if _zero_pattern_pays(a.m, m, a.n, q):
         rows = _zero_pattern_block(a, m, q)
-        if rows is None:
-            return None
-        return RmdsWitness(rows, IntMatrix(a.array.take(rows, axis=0)), q)
-    for rows in itertools.combinations(range(a.m), m):
-        block = IntMatrix(a.array.take(rows, axis=0))
-        if _kernel_search(block, q) is not None:
-            return RmdsWitness(rows, block, q)
-    return None
+    else:
+        sets = itertools.combinations(range(a.m), m)
+        rows = next((s for s in sets if _kernel_search(IntMatrix(a.array.take(s, 0)), q)), None)
+    return None if rows is None else RmdsWitness(rows, IntMatrix(a.array.take(rows, 0)), q)
 
 
 def _zero_pattern_pays(rows: int, m: int, n: int, q: int) -> bool:
