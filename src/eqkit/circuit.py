@@ -13,7 +13,6 @@ EXACT gates on the longest input-to-output path; SUM gates are wiring.
 
 from __future__ import annotations
 
-import re
 import sys
 import warnings
 from bisect import bisect_left
@@ -25,7 +24,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .matrix import _CHUNK_BYTES, _INT64_SAFE, _LIMIT, IntMatrix, _checked_sum, _column, checked
+from .matrix import _CHUNK_BYTES, _INT64_SAFE, _LIMIT, IntMatrix, MagnitudeError, _checked_sum
+from .matrix import _column, _plain_numbers, checked
 from .verify import _check_cap, _keys, is_eq_q, is_rmds
 
 INPUT = "INPUT"
@@ -42,11 +42,6 @@ _MAX_CHUNK_BITS = 16
 # Building a circuit maps sources to rows, and frees each level's consumers, in
 # runs of this many edges, so the temporaries stay small next to the columns.
 _RUN_EDGES = 1 << 14
-
-# A fan-in text that np.fromstring reads as int() does: src:weight pairs of
-# at most 18 ASCII digits each (so below 2**62), apart by spaces or tabs.
-_PLAIN = re.compile(r"(?:-?[0-9]{1,18}:-?[0-9]{1,18}(?:[ \t]+|\Z))*")
-
 
 class CircuitFormatError(ValueError):
     """Circuit text does not conform to the file format."""
@@ -685,15 +680,12 @@ def read_circuit(text: str) -> ThresholdCircuit:
     """Parse the circuit file format; inverse of write_circuit on canonical text.
 
     Each gate line is split once into gid, kind, bias and its fan-in text.
-    Plain fan-in texts (see _PLAIN) are read together by one np.fromstring;
-    any other goes through int() token by token, with the same checks and
-    errors, into the same columns.
+    When every line passes its checks and the fan-in texts joined are plain
+    (see matrix._plain_numbers), one np.fromstring reads all of them;
+    otherwise every line goes through int() token by token, which raises the
+    first fault in line order.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 3 or not lines[0].startswith("inputs ") or not lines[1].startswith(
-        "output "
-    ):
-        raise CircuitFormatError("expected 'inputs ...' and 'output ...' headers")
+    lines = _gate_lines(text)
     try:
         inputs = tuple(int(t) for t in lines[0].split()[1:])
         _, output = lines[1].split()
@@ -701,49 +693,64 @@ def read_circuit(text: str) -> ThresholdCircuit:
     except ValueError:
         raise CircuitFormatError("malformed header") from None
     gids, kinds, biases, counts, fans = [], [], [], [], []
-    wide = False  # some fan-in integer lies past _INT64_SAFE
-    for line in lines[2:]:
-        try:
-            gid, kind, bias, *rest = line.split(None, 3)
-            gid, bias, fan = int(gid), int(bias), "".join(rest)
-            if _PLAIN.fullmatch(fan):
-                count, weights = fan.count(":"), ()
-            else:
-                # Every fan-in token is src:weight with exactly one colon.
-                tokens = fan.split()
-                if set(map(str.count, tokens, repeat(":"))) - {1}:
-                    raise ValueError
-                nums = list(map(int, ":".join(tokens).split(":")))
-                count, weights = len(tokens), nums[1::2]
-                wide = wide or max(map(abs, nums)) >= _INT64_SAFE
-                fan = " ".join(map(str, nums))
-            fans.append(fan.replace(":", " "))
-        except ValueError:
-            raise CircuitFormatError(f"malformed gate line {line!r}") from None
-        _check_kind(kind, count > 0)
-        _check_weights(weights)
-        gids.append(gid)
-        kinds.append(kind)
-        biases.append(checked(bias))
-        counts.append(count)
-    numbers = " ".join(fans)
-    del lines, fans  # the columns need only the joined text
-    sources, weights = _pairs(numbers, wide, sum(counts))
+    try:
+        for line in lines[2:]:
+            gid, kind, bias, *fan = line.split(None, 3)
+            count = fan[0].count(":") if fan else 0
+            _check_kind(kind, count > 0)
+            gids.append(int(gid))
+            kinds.append(kind)
+            biases.append(checked(int(bias)))
+            counts.append(count)
+            fans += fan
+    except (ValueError, MagnitudeError):  # the int() route names the first fault
+        nums = None
+    else:
+        del lines  # the plain route needs no line text
+        fans = " ".join(fans).encode("ascii", "replace")
+        nums = _plain_numbers(fans, 2 * sum(counts), pairs=True)
+    del fans
+    if nums is None:
+        gids, kinds, biases, counts, nums = _read_gates(_gate_lines(text)[2:])
+    sources, weights = nums[0::2].copy(), nums[1::2].copy()
+    del nums
     c = ThresholdCircuit.__new__(ThresholdCircuit)
     c._build(gids, kinds, biases, counts, sources, weights, inputs, output)
     c._batches  # a cycle raises here
     return c
 
 
-def _pairs(text: str, wide: bool, pairs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sources and weights of text, which holds pairs of space-separated integers."""
-    if wide:
-        nums = np.array(list(map(int, text.split())), dtype=object)
-    elif pairs:
-        nums = np.fromstring(text, dtype=np.int64, sep=" ")
-    else:  # np.fromstring reads a blank text as one 0
-        nums = np.zeros(0, dtype=np.int64)
-    return nums[0::2].copy(), nums[1::2].copy()
+def _gate_lines(text: str) -> list[str]:
+    """The non-blank lines of a circuit file, after checking its two headers."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if len(lines) < 3 or not lines[0].startswith("inputs ") or not lines[1].startswith(
+        "output "
+    ):
+        raise CircuitFormatError("expected 'inputs ...' and 'output ...' headers")
+    return lines
+
+
+def _read_gates(lines: list[str]) -> tuple[list, list, list, list, np.ndarray]:
+    """gids, kinds, biases, fan-in counts and the fan-in numbers of gate lines, by int()."""
+    gids, kinds, biases, counts, values = [], [], [], [], []
+    for line in lines:
+        try:
+            gid, kind, bias, *rest = line.split(None, 3)
+            gid, bias, tokens = int(gid), int(bias), "".join(rest).split()
+            # Every fan-in token is src:weight with exactly one colon.
+            if set(map(str.count, tokens, repeat(":"))) - {1}:
+                raise ValueError
+            nums = list(map(int, ":".join(tokens).split(":"))) if tokens else []
+        except ValueError:
+            raise CircuitFormatError(f"malformed gate line {line!r}") from None
+        _check_kind(kind, bool(tokens))
+        _check_weights(nums[1::2])
+        gids.append(gid)
+        kinds.append(kind)
+        biases.append(checked(bias))
+        counts.append(len(tokens))
+        values += nums
+    return gids, kinds, biases, counts, _column(values)
 
 
 def format_trace(values: dict[int, int]) -> str:

@@ -252,15 +252,72 @@ def read_matrix(text: str) -> tuple[IntMatrix, Optional[ConstructionTrace]]:
     body = lines[pos + 1 :]
     if len(body) != m:
         raise MatrixFormatError(f"expected {m} rows, found {len(body)}")
-    values: list[int] = []
-    for line in body:
-        tokens = line.split()
-        if len(tokens) != n:
-            raise MatrixFormatError(
-                f"expected {n} entries per row, found {len(tokens)}"
-            )
-        try:
-            values += map(int, tokens)
-        except ValueError:
-            raise MatrixFormatError(f"non-integer token in row {line!r}") from None
-    return IntMatrix(_column(values).reshape(m, n)), trace
+    array = None
+    if all(line.count(" ") == n - 1 for line in body):
+        array = _plain_numbers("\n".join(body).encode("ascii", "replace"), m * n)
+    if array is None:
+        values: list[int] = []
+        for line in body:
+            tokens = line.split()
+            if len(tokens) != n:
+                raise MatrixFormatError(
+                    f"expected {n} entries per row, found {len(tokens)}"
+                )
+            try:
+                values += map(int, tokens)
+            except ValueError:
+                raise MatrixFormatError(f"non-integer token in row {line!r}") from None
+        array = _column(values)
+    return IntMatrix(array.reshape(m, n)), trace
+
+
+def _byte_classes(separators: bytes) -> bytes:
+    """A bytes.translate table: digit 3, `-` 6, separator 1, any other byte 0."""
+    table = bytearray(256)
+    table[48:58] = b"\3" * 10
+    table[45] = 6
+    for byte in separators:
+        table[byte] = 1
+    return bytes(table)
+
+
+_ROW_CLASSES, _PAIR_CLASSES = _byte_classes(b" \n"), _byte_classes(b" :")
+_COLONS_TO_SPACES = bytes.maketrans(b":", b" ")
+
+
+def _plain_numbers(data: bytes, count: int, pairs: bool = False) -> Optional[np.ndarray]:
+    """The count integers of data as int64, read by one np.fromstring; None unless plain.
+
+    data is the ASCII text of matrix rows joined by newlines, or with pairs of
+    fan-in texts joined by spaces.  It is plain when it is count tokens
+    -?[0-9]+ below 2^62 in magnitude, apart by single newlines or spaces, or
+    with pairs by colons and spaces in turn from a colon.  np.fromstring
+    reads plain text as int() reads each token, but not all text: it reads
+    `- 1` as -1 and `1 -` as 1 0, which int() refuses.
+    """
+    if not data:
+        return np.zeros(0, dtype=np.int64) if not count else None
+    classes = data.translate(_PAIR_CLASSES if pairs else _ROW_CLASSES)
+    if b"\0" in classes or classes[0] == 1 or classes[-1] != 3:
+        return None
+    c = np.frombuffer(classes, dtype=np.uint8)
+    if np.count_nonzero(c == 1) + 1 != count:
+        return None
+    # Neighbours x, y give 5x + y, with bit 4 set just where y cannot follow
+    # x: a separator after a separator or a `-`, and a `-` after a digit or
+    # a `-`.  With the ends above, every token is -?[0-9]+.
+    step = c[:-1] * 5
+    step += c[1:]
+    step &= 4
+    if step.any():
+        return None
+    del classes, c, step
+    if pairs:
+        if data.translate(None, b"0123456789-") != b": " * (count // 2 - 1) + b":":
+            return None
+        data = data.translate(_COLONS_TO_SPACES)
+    nums = np.fromstring(data, dtype=np.int64, count=count, sep=" ")
+    # np.fromstring saturates past int64, so a 19-digit token fails here too.
+    if nums.max() >= _INT64_SAFE or nums.min() <= -_INT64_SAFE:
+        return None
+    return nums

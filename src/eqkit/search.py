@@ -17,6 +17,8 @@ from .matrix import AlphabetSpec, IntMatrix
 from .verify import _check_cap, _theorem3_bound, is_rmds
 
 _WORD_MAX = 1 << 64
+# A span 2W+1 past one word would reject every word, so W stays below 2^63.
+_WEIGHT_LIMIT = 1 << 63
 
 
 def _entry_value(seed: int, attempt: int, row: int, col: int, span: int) -> int:
@@ -34,6 +36,13 @@ def _entry_value(seed: int, attempt: int, row: int, col: int, span: int) -> int:
         ctr += 1
 
 
+def _check_weight(weight: int) -> None:
+    if weight < 0:
+        raise ValueError("weight bound must be >= 0")
+    if weight >= _WEIGHT_LIMIT:
+        raise ValueError("weight bound must be below 2^63")
+
+
 def sample_matrix(rows: int, n: int, weight: int, seed: int, attempt: int) -> IntMatrix:
     """rows x n matrix with entries i.i.d. uniform on {-weight,..,weight}.
 
@@ -43,8 +52,7 @@ def sample_matrix(rows: int, n: int, weight: int, seed: int, attempt: int) -> In
     """
     if rows < 1 or n < 1:
         raise ValueError("matrix dimensions must be positive")
-    if weight < 0:
-        raise ValueError("weight bound must be >= 0")
+    _check_weight(weight)
     span = 2 * weight + 1
     rejection_bound = _WORD_MAX - (_WORD_MAX % span)
     sha256, from_bytes = hashlib.sha256, int.from_bytes
@@ -95,8 +103,7 @@ def search_rmds(
         raise ValueError("n, m and r must be positive")
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    if weight < 0:
-        raise ValueError("weight bound must be >= 0")
+    _check_weight(weight)
     if _exceeds_rate_cap(r, weight):
         rate_cap = theorem3_rate_cap(weight)
         raise ValueError(

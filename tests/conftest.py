@@ -4,7 +4,16 @@ from pathlib import Path
 
 import pytest
 
-from eqkit import IntMatrix, build_crt, choose_primes, construct_eq
+from eqkit import (
+    IntMatrix,
+    build_crt,
+    choose_primes,
+    compile_eq_circuit,
+    construct_eq,
+    exactify_to_lt,
+    write_circuit,
+    write_matrix,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -40,3 +49,11 @@ def crt_7x20_repeated() -> IntMatrix:
     for r in rows:
         r[18] = r[2]
     return IntMatrix.from_rows(rows)
+
+
+@pytest.fixture(scope="session")
+def eq7_texts() -> tuple[str, str, str]:
+    """Canonical texts of the k=7 EQ matrix (128x576), its equality circuit and the LT rewrite."""
+    a, trace = construct_eq(7)
+    c = compile_eq_circuit(a, verify=False)
+    return write_matrix(a, trace), write_circuit(c), write_circuit(exactify_to_lt(c))

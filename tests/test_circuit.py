@@ -1,8 +1,10 @@
+import contextlib
 import itertools
 import random
 import re
 import tracemalloc
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -24,10 +26,12 @@ from eqkit import (
     exactify_to_lt,
     exhaustive_check,
     read_circuit,
+    read_matrix,
     search_rmds,
     write_circuit,
 )
 from eqkit import circuit as circuit_module
+from eqkit import matrix as matrix_module
 from eqkit import verify
 from oracles import (
     BudgetError,
@@ -353,13 +357,13 @@ _BUDGET = st.integers(-(1 << 127) + 1, (1 << 127) - 1) | st.integers(-3, 3)
 
 
 @st.composite
-def _circuits(draw):
+def _circuits(draw, weights=_BUDGET):
     """A random DAG of LT, EXACT and SUM gates; ids, gate order and output vary."""
     k = draw(st.integers(1, 4))
     ids = draw(st.permutations(range(1, k + draw(st.integers(1, 6)) + 1)))
     gates = [Gate(gid, "INPUT") for gid in ids[:k]]
     for t, gid in enumerate(ids[k:], k):
-        fan = draw(st.lists(st.tuples(st.sampled_from(ids[:t]), _BUDGET), max_size=4))
+        fan = draw(st.lists(st.tuples(st.sampled_from(ids[:t]), weights), max_size=4))
         kind = draw(st.sampled_from(["LT", "EXACT", "SUM"]))
         gates.append(Gate(gid, kind, tuple(fan), draw(_BUDGET)))
     output = draw(st.sampled_from(ids))
@@ -575,6 +579,55 @@ def test_read_circuit_plain_route_traps(gates, rejected, action):
         if not rejected:
             assert read_circuit(text).gates[3].fan_in == read_gates(text)[0][3][1]
 
+
+@contextlib.contextmanager
+def _reader_routes():
+    """A list that gets, per whole-text check the readers make inside the
+    block, True when one np.fromstring read the numbers."""
+    routes, plain = [], matrix_module._plain_numbers
+
+    def spy(*args, **kwargs):
+        nums = plain(*args, **kwargs)
+        routes.append(nums is not None)
+        return nums
+
+    with mock.patch.object(matrix_module, "_plain_numbers", spy):
+        with mock.patch.object(circuit_module, "_plain_numbers", spy):
+            yield routes
+
+
+def test_canonical_k7_texts_take_the_array_route(eq7_texts):
+    # A check that always fell back to int() would pass every test of values.
+    matrix_text, eq_text, lt_text = eq7_texts
+    with _reader_routes() as routes:
+        read_matrix(matrix_text)
+        read_circuit(eq_text)
+        read_circuit(lt_text)
+    assert routes == [True, True, True]
+
+
+@given(_circuits(st.integers(-(1 << 62) + 1, (1 << 62) - 1)))
+def test_canonical_circuit_text_takes_the_array_route(c):
+    # Drawn circuits hold INPUT lines and other gates without fan-in.
+    text = write_circuit(c)
+    with _reader_routes() as routes:
+        assert write_circuit(read_circuit(text)) == text
+    assert routes == [True]
+
+
+def test_readers_peak_memory_on_the_k7_texts(eq7_texts):
+    # At most one copy of the text and a few byte masks live at once, next
+    # to the numbers and their two columns.
+    matrix_text, _, lt_text = eq7_texts
+    for read, text, limit in [(read_matrix, matrix_text, 2), (read_circuit, lt_text, 4)]:
+        read(text)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            read(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit << 20, (read.__name__, peak)
 
 def test_read_circuit_rejects_malformed_text():
     from eqkit import CircuitFormatError

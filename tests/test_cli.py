@@ -25,8 +25,10 @@ from eqkit import (
 from eqkit.cli import main
 from oracles import (
     BudgetError,
+    CircuitTextError,
     MatrixTextError,
     eval_gates,
+    gates_text,
     matrix_text,
     read_gates,
     read_matrix_rows,
@@ -488,6 +490,22 @@ def test_search_cli_refuses_negative_weight(capsys, weight):
     assert err == "error: weight bound must be >= 0\n"
 
 
+def test_search_cli_weight_must_fit_one_word(capsys):
+    # A span 2W+1 past 2^64 would reject every 64-bit word of the stream, so
+    # 2^63 is refused before the cap is charged; 2^63 - 1 samples as before.
+    argv = ("search", "rmds", "--n", "2", "--m", "1", "--r", "2", "--q", "2",
+            "--seed", "3", "--max-attempts", "5", "--w")
+    refused = run(capsys, "--cap", "1", *argv, str(2**63))
+    assert refused == (2, "", "error: weight bound must be below 2^63\n")
+    assert run(capsys, *argv, str(2**63 - 1)) == (
+        0,
+        "# search n=2 m=1 r=2 q=2 w=9223372036854775807 seed=3 max-attempts=5 attempts=1\n"
+        "2 2\n"
+        "3545121604559389322 3579615541172186327\n"
+        "4742679270023721693 7084267390086323652\n",
+        "",
+    )
+
 def test_residue_check_cli(capsys):
     code, out, _ = run(
         capsys,
@@ -948,6 +966,37 @@ _ODD_MATRICES = (
     "1 2\n1__0 2\n",
     "1 2\n--1 2\n",
     "1 2\n1-2 3\n",
+    # np.fromstring reads these apart from int(), or a count could shift
+    # between rows or tokens.
+    "1 2\n- 1\n",
+    "1 2\n1 -\n",
+    "1 1\n-\n",
+    "2 1\n-\n1\n",
+    "1 2\n1:2 3\n",
+    "1 3\n1  2 3\n",
+    "1 3\n1  2\n",
+    "2 3\n1  2\n3 4 5 6\n",
+    "2 3\n1 2\n3 4 5 6\n",
+    "1 3\n1 2 \n",
+    "1 3\n 1 2\n",
+    "2 2\n1 2\n\n",
+    "1 2\n1\t-2\n",
+)
+
+# Fan-in texts of the same kinds, on gate 3 of a two-input circuit.
+_ODD_FANS = (
+    "1:- 1",
+    "1:1 -",
+    "-",
+    "2:-\n4 SUM 0 1:1",
+    "1:2:3",
+    "1 2:3:4",
+    ":1 2:1",
+    "1: 2:1",
+    "1::2",
+    "1:1  2:-1",
+    "1:1 2:1 ",
+    "1:1\t2:1",
 )
 
 
@@ -996,24 +1045,35 @@ def test_cli_survives_mutated_files(capsys, tmp_path):
             assert got == want, (argv, text)
             codes.append(got[0])
 
+    def check_circuit(text, ref, n):
+        target.write_text(text)
+        text = target.read_text()
+        try:
+            gates, inputs, output = read_gates(text)
+            assert write_circuit(read_circuit(text)) == gates_text(gates, inputs, output)
+        except CircuitTextError as exc:
+            with pytest.raises((ValueError, MagnitudeError)) as got:
+                read_circuit(text)
+            assert str(got.value) == str(exc), text
+        k = 2 * int(n) if ref != "parity" else int(n)
+        argv = ("circuit", "eval", str(target), "--input", " ".join("1" * k))
+        assert run(capsys, *argv) == _reference_eval(text, [1] * k)
+        argv = ("--cap", "70000", "circuit", "check", str(target), "--ref", ref, "--n", n)
+        got = run(capsys, *argv)
+        assert got == _reference_check(text, ref, int(n), 70000), text
+        codes.append(got[0])
+        got = run(capsys, "circuit", "exactify", str(target))
+        assert got == _reference_exactify(text), text
+        codes.append(got[0])
+
     for trial in range(240):
         if trial % 2:
             check_matrix(_mutate(rng.choice(matrices), rng))
         else:
             name = rng.choice(sorted(circuits))
-            ref, n = circuits[name]
-            target.write_text(_mutate((FIXTURES / name).read_text(), rng))
-            text = target.read_text()
-            k = 2 * int(n) if ref != "parity" else int(n)
-            argv = ("circuit", "eval", str(target), "--input", " ".join("1" * k))
-            assert run(capsys, *argv) == _reference_eval(text, [1] * k)
-            argv = ("--cap", "70000", "circuit", "check", str(target), "--ref", ref, "--n", n)
-            got = run(capsys, *argv)
-            assert got == _reference_check(text, ref, int(n), 70000), text
-            codes.append(got[0])
-            got = run(capsys, "circuit", "exactify", str(target))
-            assert got == _reference_exactify(text), text
-            codes.append(got[0])
+            check_circuit(_mutate((FIXTURES / name).read_text(), rng), *circuits[name])
     for text in _ODD_MATRICES:
         check_matrix(text)
+    for fan in _ODD_FANS:
+        check_circuit(f"inputs 1 2\noutput 3\n1 INPUT 0\n2 INPUT 0\n3 LT 1 {fan}\n", "parity", "2")
     assert {0, 2} <= set(codes)

@@ -108,6 +108,16 @@ def test_search_refuses_negative_weight_before_the_rate_cap(monkeypatch, weight)
         search_rmds(4, 2, 2, 3, weight, seed=0, max_attempts=5)
 
 
+@pytest.mark.parametrize("weight", [2**63, 2**64, 10**30])
+def test_weight_past_one_word_is_refused(weight):
+    # The span 2W+1 passes 2^64, so the stream would reject every word.  The
+    # search refuses it before the cap is charged.
+    with pytest.raises(ValueError, match=r"^weight bound must be below 2\^63$"):
+        sample_matrix(1, 1, weight, seed=0, attempt=0)
+    with pytest.raises(ValueError, match=r"^weight bound must be below 2\^63$"):
+        search_rmds(4, 2, 2, 3, weight, seed=0, max_attempts=5, cap=1)
+
+
 def test_suggest_params_examples():
     assert suggest_params(8, 8, 3) == (3, 32)
     assert suggest_params(2, 1, 3)[0] == 2
@@ -129,7 +139,7 @@ def _documented_entry(seed, attempt, row, col, span):
         ctr += 1
 
 
-@pytest.mark.parametrize("weight", [0, 1, 8, 2**62])
+@pytest.mark.parametrize("weight", [0, 1, 8, 2**62, 2**63 - 1])
 def test_sampler_matches_documented_stream(weight):
     # At 2^62 the span is 2^63 + 1, so about half of all words are rejected
     # and some entries need a second digest (ctr > 0).
