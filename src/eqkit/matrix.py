@@ -268,7 +268,11 @@ def read_matrix(text: str) -> tuple[IntMatrix, Optional[ConstructionTrace]]:
             except ValueError:
                 raise MatrixFormatError(f"non-integer token in row {line!r}") from None
         array = _column(values)
-    return IntMatrix(array.reshape(m, n)), trace
+    # Both readers return a fresh array: shaped in place and read-only,
+    # IntMatrix keeps it without a copy.
+    array.shape = (m, n)
+    array.flags.writeable = False
+    return IntMatrix(array), trace
 
 
 def _byte_classes(separators: bytes) -> bytes:

@@ -3,6 +3,15 @@
 Entries are drawn from a counter-based SHA-256 stream keyed per entry by
 (seed, attempt, row, column), so a (seed, parameters) pair reproduces the
 same matrices on every platform.
+
+search_rmds samples and decides candidates in stacks of 1, 2, 4, ...
+consecutive attempts: one (B, rm, n) array per stack (_sample_stack), and
+one zero-pattern product that gives every candidate's verdict at once.
+Doubling stops where one stack's product would pass _CHUNK_BYTES.  The
+first passing attempt of the first stack that has one is returned, so the
+hits and attempt counts are those of deciding one candidate at a time.
+Where the block loop pays (see verify._zero_pattern_pays), a stack's
+candidates are decided in that order by the block loop instead.
 """
 
 from __future__ import annotations
@@ -14,7 +23,15 @@ from typing import Optional
 import numpy as np
 
 from .matrix import AlphabetSpec, IntMatrix
-from .verify import _check_cap, _theorem3_bound, is_rmds
+from .verify import (  # is_rmds stays a module attribute here for perfbench's tracer
+    _check_cap,
+    _failing_block,
+    _rmds_passes,
+    _stack_limit,
+    _theorem3_bound,
+    _zero_pattern_pays,
+    is_rmds,
+)
 
 _WORD_MAX = 1 << 64
 # A span 2W+1 past one word would reject every word, so W stays below 2^63.
@@ -46,29 +63,53 @@ def _check_weight(weight: int) -> None:
 def sample_matrix(rows: int, n: int, weight: int, seed: int, attempt: int) -> IntMatrix:
     """rows x n matrix with entries i.i.d. uniform on {-weight,..,weight}.
 
-    Entry (i, j) is _entry_value(seed, attempt, i, j, 2*weight+1) - weight.
-    The first word of each entry's first digest is read here; only a
-    rejected one goes back to _entry_value for the rest of the stream.
+    Entry (i, j) is _entry_value(seed, attempt, i, j, 2*weight+1) - weight:
+    the matrix _sample_stack draws for this one attempt.
     """
     if rows < 1 or n < 1:
         raise ValueError("matrix dimensions must be positive")
     _check_weight(weight)
+    return IntMatrix(_sample_stack(rows, n, weight, seed, attempt, attempt + 1)[0])
+
+
+def _sample_stack(rows: int, n: int, weight: int, seed: int, first: int, stop: int) -> np.ndarray:
+    """(stop - first, rows, n) int64 stack of the matrices of attempts first..stop-1.
+
+    One SHA-256 digest per entry: the first word of each is read at once
+    from the joined digests, and only a rejected one goes back to
+    _entry_value for the rest of the stream.  The value w % span - weight is
+    taken modulo 2^64 and read as int64, which is exact for weight < 2^63.
+    """
     span = 2 * weight + 1
-    rejection_bound = _WORD_MAX - (_WORD_MAX % span)
-    sha256, from_bytes = hashlib.sha256, int.from_bytes
-    suffixes = [f"{j}/0".encode() for j in range(n)]
-    values: list[int] = []
-    for i in range(rows):
-        prefix = f"{seed}/{attempt}/{i}/".encode()
-        words = [from_bytes(sha256(prefix + s).digest()[:8], "big") for s in suffixes]
-        if max(words) >= rejection_bound:
-            # A value in [0, span) stands in for a rejected word: % span keeps it.
-            words = [
-                w if w < rejection_bound else _entry_value(seed, attempt, i, j, span)
-                for j, w in enumerate(words)
-            ]
-        values += [w % span - weight for w in words]
-    return IntMatrix(np.array(values, dtype=np.int64).reshape(rows, n))  # |draws| < 2^63
+    sha256 = hashlib.sha256
+    cells = [f"{i}/{j}/0".encode() for i in range(rows) for j in range(n)]
+    digests = b"".join([
+        sha256(prefix + cell).digest()
+        for prefix in [f"{seed}/{attempt}/".encode() for attempt in range(first, stop)]
+        for cell in cells
+    ])
+    words = np.frombuffer(digests, ">u8")[::4].astype(np.uint64)
+    # The largest accepted word, _WORD_MAX - 1 at span 1, fits in uint64.
+    for k in np.flatnonzero(words > _WORD_MAX - _WORD_MAX % span - 1).tolist():
+        attempt, cell = divmod(k, rows * n)
+        # A value in [0, span) stands in for a rejected word: % span keeps it.
+        words[k] = _entry_value(seed, first + attempt, *divmod(cell, n), span)
+    values = words % np.uint64(span) - np.uint64(weight)
+    return values.view(np.int64).reshape(stop - first, rows, n)
+
+
+def _first_rmds(stack: np.ndarray, weight: int, m: int, q: int) -> Optional[int]:
+    """Index of the first matrix of ``stack`` whose every m-row block is EQ_q, or None.
+
+    One zero-pattern product decides the whole stack where it pays, as in
+    is_rmds; elsewhere the matrices are decided in order by the block loop.
+    """
+    _, rows, n = stack.shape
+    if _zero_pattern_pays(rows, m, n, q):
+        passing = np.flatnonzero(_rmds_passes(stack, weight, m, q))
+        return int(passing[0]) if passing.size else None
+    blocks = (_failing_block(IntMatrix(a), m, q) for a in stack)
+    return next((k for k, block in enumerate(blocks) if block is None), None)
 
 
 def theorem3_rate_cap(weight: int) -> int:
@@ -98,6 +139,7 @@ def search_rmds(
     budget is exhausted.  Parameter sets whose rate exceeds the alphabet-size
     bound are refused outright, since no such matrix exists.  The cap is
     charged once, as is_rmds charges each candidate, before any is sampled.
+    Candidates are sampled and decided in stacks of doubling size.
     """
     if n < 1 or m < 1 or r < 1:
         raise ValueError("n, m and r must be positive")
@@ -112,10 +154,17 @@ def search_rmds(
         )
     AlphabetSpec(q)  # rejects q < 2 before the cap, as is_rmds does
     _check_cap(math.comb(r * m, m) * q**n, cap)
-    for attempt in range(max_attempts):
-        candidate = sample_matrix(r * m, n, weight, seed, attempt)
-        if is_rmds(candidate, m, q, cap=cap) is None:
-            return candidate, attempt + 1
+    limit = _stack_limit(r * m, n, q, weight)
+    first, size = 0, 1
+    while first < max_attempts:
+        stop = min(first + size, max_attempts)
+        stack = _sample_stack(r * m, n, weight, seed, first, stop)
+        k = _first_rmds(stack, weight, m, q)
+        if k is not None:
+            return IntMatrix(stack[k]), first + k + 1
+        first = stop
+        if 2 * size <= limit:
+            size *= 2
     return None, max_attempts
 
 

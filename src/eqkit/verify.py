@@ -17,6 +17,8 @@ any cap, which is still charged (2q-1)^n (kernel) or q^n (injectivity).
 is_rmds decides all m-row blocks at once from the zero pattern of A x over
 one vector of each +-x pair, unless checking the blocks one by one with the
 engine costs fewer element operations; the cap is charged C(rows, m) q^n.
+The same product decides a whole stack of matrices (_rmds_passes), as the
+search draws them; is_rmds runs it on a stack of one.
 """
 
 from __future__ import annotations
@@ -311,9 +313,14 @@ def is_rmds(
     if _zero_pattern_pays(a.m, m, a.n, q):
         rows = _zero_pattern_block(a, m, q)
     else:
-        sets = itertools.combinations(range(a.m), m)
-        rows = next((s for s in sets if _kernel_search(IntMatrix(a.array.take(s, 0)), q)), None)
+        rows = _failing_block(a, m, q)
     return None if rows is None else RmdsWitness(rows, IntMatrix(a.array.take(rows, 0)), q)
+
+
+def _failing_block(a: IntMatrix, m: int, q: int) -> Optional[tuple[int, ...]]:
+    """First m-row set in lexicographic order whose block the kernel search fails, or None."""
+    sets = itertools.combinations(range(a.m), m)
+    return next((s for s in sets if _kernel_search(IntMatrix(a.array.take(s, 0)), q)), None)
 
 
 def _zero_pattern_pays(rows: int, m: int, n: int, q: int) -> bool:
@@ -329,6 +336,27 @@ def _zero_pattern_pays(rows: int, m: int, n: int, q: int) -> bool:
     return rows * half_box <= math.comb(rows, m) * keys * keys.bit_length()
 
 
+def _stack_limit(rows: int, n: int, q: int, weight: int) -> int:
+    """Most matrices (at least 1) whose zero-pattern product fits in _CHUNK_BYTES.
+
+    The product is taken over the half box, with entries up to weight.
+    """
+    fits = weight * (q - 1) * n < _INT64_SAFE
+    half_box = ((2 * q - 1) ** n - 1) // 2
+    return max(1, _CHUNK_BYTES // (half_box * _vector_bytes(rows, fits)))
+
+
+def _vector_bytes(rows: int, fits: bool) -> int:
+    """Bytes a zero-pattern chunk spends per matrix and vector, int64 (fits) or exact.
+
+    Per vector: its zero count, hit index and sort key; per row and vector:
+    the sum or a sort index (8 bytes), this chunk's and the last chunk's
+    zero flags and a negated copy, and on the object path a Python int of
+    up to 128 bits per sum.
+    """
+    return 24 + rows * (11 if fits else 11 + 44)
+
+
 def _zero_pattern_block(a: IntMatrix, m: int, q: int) -> Optional[tuple[int, ...]]:
     """Lexicographically first m-row set sharing a nonzero kernel vector, or None.
 
@@ -337,7 +365,8 @@ def _zero_pattern_block(a: IntMatrix, m: int, q: int) -> Optional[tuple[int, ...
     rows of some such x, and those rows fail too, so the first failing set
     is the smallest such "first m zero rows".
     """
-    sets = [_first_set(zeros, m) for zeros in _half_box_zeros(a, q)]
+    chunks = _half_box_zeros(a.array[None], a.weight_bound, q)
+    sets = [_first_set(zeros[0], m) for zeros in chunks]
     return min((rows for rows in sets if rows is not None), default=None)
 
 
@@ -351,39 +380,52 @@ def _first_set(zeros: np.ndarray, m: int) -> Optional[tuple[int, ...]]:
     return tuple(sets[:, np.lexsort(sets[::-1])[0]].tolist())
 
 
-def _half_box_zeros(a: IntMatrix, q: int):
-    """[A x = 0] for one x of each pair +-x != 0 in {-(q-1),..,q-1}^n, in column chunks.
+def _rmds_passes(stack: np.ndarray, weight: int, m: int, q: int) -> np.ndarray:
+    """[every m-row block of A is EQ_q] for each A of the (B, rows, n) stack.
 
-    A x splits as A_L x_L + A_H x_H over the low ceil(n/2) coordinates (fewer
-    if their grid would pass _GRID_ROWS or a chunk) and the rest: the low
-    part is one product with a cached grid, and each chunk of high counters
-    adds its A_H x_H to it, one add per row and vector.  The high counters
-    run from x_H = 0 up, which meets one x of each pair +-x with x_H != 0;
-    at x_H = 0 the low counters up to the zero vector's are masked out.  int64
-    when every |a_i.x| is below _INT64_SAFE, else exact object arrays.  A
-    chunk stays under _CHUNK_BYTES unless a single low block passes it.
+    One zero-pattern product over the whole stack, whose entries lie in
+    [-weight, weight]: A fails when some x has m or more zero rows.
     """
-    n, base, values = a.n, 2 * q - 1, range(1 - q, q)
-    fits = a.weight_bound * (q - 1) * n < _INT64_SAFE
-    coef = a.array if fits else a.array.astype(object)
-    # Per vector: its zero count, hit index and sort key; per row and vector:
-    # the sum or a sort index (8 bytes), this chunk's and the last chunk's
-    # zero flags and a negated copy, and on the object path a Python int of
-    # up to 128 bits per sum.
-    vector_bytes = 24 + a.m * (11 if fits else 11 + 44)
+    failed = np.zeros(len(stack), dtype=bool)
+    for zeros in _half_box_zeros(stack, weight, q):
+        failed |= (zeros.sum(axis=1) >= m).any(axis=1)
+        if failed.all():
+            break
+    return ~failed
+
+
+def _half_box_zeros(stack: np.ndarray, weight: int, q: int):
+    """[A x = 0] for each A of stack and one x of each pair +-x != 0, in column chunks.
+
+    stack is (B, rows, n) and each chunk (B, rows, vectors).  A x splits as
+    A_L x_L + A_H x_H over the low ceil(n/2) coordinates (fewer if their
+    grid would pass _GRID_ROWS or a chunk) and the rest: the low part is one
+    product with a cached grid, and each chunk of high counters adds its
+    A_H x_H to it, one add per row and vector.  The high counters run from
+    x_H = 0 up, which meets one x of each pair +-x with x_H != 0; at x_H = 0
+    the low counters up to the zero vector's are masked out.  int64 when
+    every |a_i.x| is below _INT64_SAFE for entries up to weight, else exact
+    object arrays.  A chunk stays under _CHUNK_BYTES unless a single low
+    block of the stack passes it.
+    """
+    count, rows, n = stack.shape
+    base, values = 2 * q - 1, range(1 - q, q)
+    fits = weight * (q - 1) * n < _INT64_SAFE
+    coef = stack if fits else stack.astype(object)
+    vector_bytes = count * _vector_bytes(rows, fits)
     low = (n + 1) // 2
     while low and base**low > min(_GRID_ROWS, _CHUNK_BYTES // vector_bytes):
         low -= 1
-    keys = coef[:, :low] @ _digit_grid(low, values).T
+    keys = coef[:, :, :low] @ _digit_grid(low, values).T
     high = n - low
     step = max(1, _CHUNK_BYTES // (base**low * vector_bytes))
     for start in range((base**high - 1) // 2, base**high, step):
         counters = np.arange(start, min(start + step, base**high))
         x_high = counters[:, None] // base ** np.arange(high) % base + values.start
-        offsets = coef[:, low:] @ x_high.T
-        zeros = (keys[:, None, :] + offsets[:, :, None]).reshape(a.m, -1) == 0
+        offsets = coef[:, :, low:] @ x_high.T
+        zeros = (keys[:, :, None, :] + offsets[..., None]).reshape(count, rows, -1) == 0
         if start == (base**high - 1) // 2:
-            zeros[:, : (base**low + 1) // 2] = False
+            zeros[:, :, : (base**low + 1) // 2] = False
         yield zeros
 
 

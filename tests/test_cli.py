@@ -22,6 +22,7 @@ from eqkit import (
     write_circuit,
     write_matrix,
 )
+from eqkit import search
 from eqkit.cli import main
 from oracles import (
     BudgetError,
@@ -490,9 +491,16 @@ def test_search_cli_refuses_negative_weight(capsys, weight):
     assert err == "error: weight bound must be >= 0\n"
 
 
-def test_search_cli_weight_must_fit_one_word(capsys):
+def test_search_cli_weight_must_fit_one_word(capsys, monkeypatch):
     # A span 2W+1 past 2^64 would reject every 64-bit word of the stream, so
     # 2^63 is refused before the cap is charged; 2^63 - 1 samples as before.
+    # Without the guard every word would go back to _entry_value, which
+    # would loop forever: here it fails at once (at 2^63 - 1 only the word
+    # 2^64 - 1 is rejected, and none of these draws is).
+    def refuse(*args):
+        raise AssertionError("the sampler ran past the weight guard")
+
+    monkeypatch.setattr(search, "_entry_value", refuse)
     argv = ("search", "rmds", "--n", "2", "--m", "1", "--r", "2", "--q", "2",
             "--seed", "3", "--max-attempts", "5", "--w")
     refused = run(capsys, "--cap", "1", *argv, str(2**63))

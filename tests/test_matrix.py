@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -385,3 +386,21 @@ def test_read_tolerates_spacing_signs_and_comments(a, trace, data):
         lines.append(data.draw(gap) + data.draw(gap).join(tokens) + data.draw(gap))
     b, got = read_matrix("\n".join(lines) + "\n")
     assert b == a and got == trace
+
+
+def test_read_matrix_keeps_the_array_it_parsed(eq7_texts):
+    # The reader shapes its fresh array in place and marks it read-only, so
+    # IntMatrix keeps it: one copy of the entries, never two.
+    text = eq7_texts[0]
+    read_matrix(text)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        a, _ = read_matrix(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (a.m, a.n) == (128, 576)
+    assert peak < 2 * a.array.nbytes  # 1.18 MB; a second copy takes the read to 1.35 MB
+    for text in (text, "2 2\n1  2\n3 -4\n", f"1 2\n{2**70} 1\n"):  # plain, int(), exact
+        a, _ = read_matrix(text)
+        assert a.array.base is None and not a.array.flags.writeable
