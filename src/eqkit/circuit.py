@@ -200,7 +200,7 @@ class ThresholdCircuit:
 
     @cached_property
     def _gate_map(self) -> dict[int, Gate]:
-        sources = np.array(self._gids, dtype=object)[self._src].tolist()
+        sources = self._keys[self._src].tolist()
         weights = self._weights.tolist()
         bounds = self._indptr.tolist()
         return {
@@ -498,47 +498,53 @@ def compile_eq_circuit(
                 f"matrix failed the EQ check (kernel vector {witness.x}); "
                 "pass verify=False to compile anyway"
             )
-    layer = [(_difference_fan(a, i, 0), 0) for i in range(a.m)]
-    return _depth_two(2 * a.n, layer, EXACT, 1, a.m)
+    layer = _difference_layer(a, np.arange(a.m), 0)
+    return _depth_two(2 * a.n, *layer, [0] * a.m, EXACT, 1, a.m)
 
 
-def _difference_fan(a: IntMatrix, i: int, start: int) -> list[tuple[int, int]]:
-    """Fan-in of row i of A, restricted to columns start.., on x minus y."""
-    cols = np.flatnonzero(a.array[i, start:]) + start
-    weights = a.array[i, cols].tolist()
-    return [*zip((cols + 1).tolist(), weights), *zip((cols + a.n + 1).tolist(), map(neg, weights))]
+def _difference_layer(
+    a: IntMatrix, rows: np.ndarray, start: Union[int, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fan-in columns of one gate per entry of rows: row rows[g] of A, restricted
+    to columns start[g].. (start broadcasts against the columns), on x minus y.
+
+    Returns the sources by gid, the weights and the per-gate counts.  The
+    gates' masks side by side, x then y, list each gate's x pairs, then its
+    y pairs, by column.
+    """
+    mask = np.tile((a.array != 0)[rows] & (np.arange(a.n) >= start), 2)
+    col, counts = np.flatnonzero(mask) % (2 * a.n), mask.sum(axis=1)
+    weights = np.concatenate([a.array, -a.array], axis=1)[rows.repeat(counts), col]
+    col += 1  # x_j and y_j are gates j + 1 and n + j + 1
+    return col, weights, counts
 
 
 def _depth_two(
     k: int,
-    layer: Sequence[tuple[Sequence[tuple[int, int]], int]],
+    sources: np.ndarray,
+    weights: np.ndarray,
+    counts: np.ndarray,
+    biases: list[int],
     top_kind: str,
     top_weight: int,
     top_bias: int,
 ) -> ThresholdCircuit:
-    """Inputs 1..k, one EXACT gate per (fan-in, bias) in layer, then the top gate.
+    """Inputs 1..k, one EXACT gate per bias in biases, then the top gate.
 
-    The columns are built straight from the fan-ins, with the checks a Gate
-    makes, gate by gate.  The circuit is acyclic by construction, so its
-    order is built on first use.
+    The layer's fan-in comes as CSR columns: sources by gid, weights and
+    per-gate counts, each weight and bias already inside the budget.  The
+    circuit is acyclic by construction, so its order is built on first use.
     """
-    top = k + len(layer) + 1
-    biases = [0] * k
-    for fan, bias in layer:
-        _check_weights(list(map(itemgetter(1), fan)))
-        biases.append(checked(int(bias)))
-    biases.append(checked(top_bias))
-    fans = [fan for fan, _ in layer]
-    counts = [0] * k + list(map(len, fans)) + [len(layer)]
-    pairs = list(chain.from_iterable(fans))
+    g = len(biases)
+    top = k + g + 1
     c = ThresholdCircuit.__new__(ThresholdCircuit)
     c._build(
         list(range(1, top + 1)),
-        [INPUT] * k + [EXACT] * len(layer) + [top_kind],
-        biases,
-        counts,
-        _column([*map(itemgetter(0), pairs), *range(k + 1, top)]),
-        _column([*map(itemgetter(1), pairs), *repeat(top_weight, len(layer))]),
+        [INPUT] * k + [EXACT] * g + [top_kind],
+        [0] * k + biases + [top_bias],
+        [0] * k + counts.tolist() + [g],
+        np.concatenate([sources, np.arange(k + 1, top)]),
+        _column(np.concatenate([weights, np.full(g, top_weight)])),
         range(1, k + 1),
         top,
     )
@@ -554,10 +560,14 @@ def compile_value_set(
     n = len(weights)
     if n < 1:
         raise ValueError("at least one weight is required")
+    _check_weights(weights)
     if not accepted:
         warnings.warn("empty accepted set; emitting a constant-0 circuit")
-    fan = [(j + 1, w) for j, w in enumerate(weights) if w]
-    return _depth_two(n, [(fan, s) for s in accepted], LT, 1, 1)
+    _check_weights(accepted)
+    column = _column(weights)
+    fan, g = np.flatnonzero(column), len(accepted)
+    layer = np.tile(fan + 1, g), np.tile(column[fan], g), np.full(g, fan.size)
+    return _depth_two(n, *layer, accepted, LT, 1, 1)
 
 
 def compile_comp_circuit(
@@ -592,12 +602,10 @@ def compile_comp_circuit(
             )
     # Fan-in pairs: r*m*n layer gates of at most 2n each, and the top gate's.
     _check_cap(r * m * n * (2 * n + 1), cap)
-    layer = [
-        (_difference_fan(a, i, level), -v)
-        for level in range(n)
-        for i, v in enumerate(a.column(level))
-    ]
-    return _depth_two(2 * n, layer, LT, -1, -n * (m - 1) + 1)
+    # Layer gate (level, i) is row i from column level on; levels run outermost.
+    rows, levels = np.tile(np.arange(r * m), n), np.arange(n).repeat(r * m)
+    layer = _difference_layer(a, rows, levels[:, None])
+    return _depth_two(2 * n, *layer, (-a.array.T).ravel().tolist(), LT, -1, -n * (m - 1) + 1)
 
 
 def exactify_to_lt(c: ThresholdCircuit) -> ThresholdCircuit:
@@ -615,7 +623,7 @@ def exactify_to_lt(c: ThresholdCircuit) -> ThresholdCircuit:
     first = max(c._gids) + 1
     twin = {r: first + t for t, r in enumerate(r for r in order if exact[r])}
     ptr, src = c._indptr.tolist(), c._src.tolist()
-    sources = np.array(c._gids, dtype=object)[c._src].tolist()
+    sources = c._keys[c._src].tolist()
     weights = c._weights.tolist()
     # Edges from an EXACT gate, which become two: from it and its second half.
     doubled = (c._code == _CODE[EXACT])[c._src].nonzero()[0].tolist()
@@ -658,13 +666,12 @@ def exactify_to_lt(c: ThresholdCircuit) -> ThresholdCircuit:
 def write_circuit(c: ThresholdCircuit) -> str:
     """Line-based text form: inputs/output headers, then one gate per line by id."""
     size, ptr = len(c._gids), c._indptr.tolist()
-    ids = np.array(c._gids, dtype=object)
     texts = []
     # Gates are written in runs of about _RUN_EDGES fan-in pairs, in line order.
     step = max(1, _RUN_EDGES * size // max(ptr[-1], 1))
     for lo in range(0, size, step):
         hi = min(lo + step, size)
-        sources = ids[c._src[ptr[lo] : ptr[hi]]].tolist()
+        sources = c._keys[c._src[ptr[lo] : ptr[hi]]].tolist()
         weights = c._weights[ptr[lo] : ptr[hi]].tolist()
         for r in range(lo, hi):
             a, b = ptr[r] - ptr[lo], ptr[r + 1] - ptr[lo]

@@ -27,6 +27,7 @@ from eqkit import (
     exhaustive_check,
     read_circuit,
     read_matrix,
+    sample_matrix,
     search_rmds,
     write_circuit,
 )
@@ -260,6 +261,17 @@ def test_value_set_empty_warns_and_is_constant_zero():
     assert truth_table(c) == [0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("values", [(), (0,), (3, 1 << 127)])
+def test_value_set_refuses_a_weight_out_of_budget(values):
+    # The weights are checked before the empty-set warning, so an empty
+    # accepted set does not hide them, and before the values.
+    first = rf"^\|{-(1 << 127)}\| exceeds the 2\^127 budget$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MagnitudeError, match=first):
+            compile_value_set((0, 1, -(1 << 127), 1 << 128), values)
+
+
 def test_compile_comp_pipeline():
     a, params = comp_matrix(3)
     n, m, r = params["n"], params["m"], params["r"]
@@ -301,6 +313,89 @@ def test_compile_comp_validation():
     thin = IntMatrix.from_rows([[1, -1, 0], [0, 1, -1]])
     with pytest.raises(ValueError):
         compile_comp_circuit(thin, 3, 2, 1)  # separation 2 <= 3*(2-1)
+
+
+def _difference_gate(gid, row, start, n, kind, bias):
+    """The gate testing row[start:] . (x - y) against bias, built pair by pair."""
+    fan = [(j + 1, row[j]) for j in range(start, n) if row[j]]
+    fan += [(n + j + 1, -row[j]) for j in range(start, n) if row[j]]
+    return Gate(gid, kind, tuple(fan), bias)
+
+
+def _depth_two_by_gates(k, layer, top_kind, top_weight, top_bias):
+    """Inputs 1..k, the layer gates (gids k+1..), then the top gate over them."""
+    top = k + len(layer) + 1
+    gates = [Gate(j, "INPUT") for j in range(1, k + 1)] + layer
+    gates.append(Gate(top, top_kind, tuple((g.gid, top_weight) for g in layer), top_bias))
+    return ThresholdCircuit(gates, range(1, k + 1), top)
+
+
+def eq_circuit_by_gates(rows):
+    m, n = len(rows), len(rows[0])
+    layer = [_difference_gate(2 * n + 1 + i, row, 0, n, "EXACT", 0) for i, row in enumerate(rows)]
+    return _depth_two_by_gates(2 * n, layer, "EXACT", 1, m)
+
+
+def comp_circuit_by_gates(rows, n, m):
+    # Level l tests columns l.. of every row against minus column l.
+    layer = [
+        _difference_gate(2 * n + 1 + len(rows) * level + i, row, level, n, "EXACT", -row[level])
+        for level in range(n)
+        for i, row in enumerate(rows)
+    ]
+    return _depth_two_by_gates(2 * n, layer, "LT", -1, -n * (m - 1) + 1)
+
+
+def value_set_by_gates(weights, values):
+    n = len(weights)
+    fan = tuple((j + 1, w) for j, w in enumerate(weights) if w)
+    layer = [Gate(n + 1 + t, "EXACT", fan, s) for t, s in enumerate(sorted(set(values)))]
+    return _depth_two_by_gates(n, layer, "LT", 1, 1)
+
+
+def test_compilers_match_a_gate_by_gate_definition():
+    rng = random.Random(20)
+    # Zeros, small entries, and entries at int64's edge and past it.
+    special = [1 << 61, -(1 << 61), 1 << 62, -(1 << 62), 1 << 100, -(1 << 100)]
+
+    def entry():
+        pick = rng.random()
+        return 0 if pick < 0.3 else rng.choice(special) if pick < 0.4 else rng.randint(-5, 5)
+
+    for _ in range(150):
+        m, n = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [[entry() for _ in range(n)] for _ in range(m)]
+        got = compile_eq_circuit(IntMatrix.from_rows(rows), verify=False)
+        assert write_circuit(got) == write_circuit(eq_circuit_by_gates(rows))
+    for _ in range(150):
+        n, m = rng.randint(1, 5), rng.randint(1, 3)
+        r = n * (m - 1) // m + 1 + rng.randint(0, 1)
+        rows = [[entry() for _ in range(n)] for _ in range(r * m)]
+        got = compile_comp_circuit(IntMatrix.from_rows(rows), n, m, r, verify=False)
+        assert write_circuit(got) == write_circuit(comp_circuit_by_gates(rows, n, m))
+    for _ in range(150):
+        weights = [entry() for _ in range(rng.randint(1, 5))]
+        # Repeated values, values the weights reach, and empty sets.
+        values = [rng.choice([*weights, entry()]) for _ in range(rng.choice([0, 1, 3, 6]))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty set warns
+            got = compile_value_set(weights, values)
+        assert write_circuit(got) == write_circuit(value_set_by_gates(weights, values))
+
+
+def test_compile_comp_peak_memory():
+    # 10,000 layer gates with about 1,000,000 fan-in pairs; per-gate pair
+    # lists took over 100 MB here.
+    n = r = 100
+    a = sample_matrix(n, n, 50, 0, 0)
+    tracemalloc.start()
+    try:
+        c = compile_comp_circuit(a, n, 1, r, verify=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert c.gate_count == r * n + 1
+    assert peak < 64 << 20, peak
 
 
 def test_exactify_preserves_truth_tables(eq_4x8):

@@ -622,6 +622,19 @@ def test_circuit_valueset_and_parity_check(capsys, tmp_path):
     assert out == "PASS\n"
 
 
+def test_circuit_valueset_weight_out_of_budget_is_refused(capsys, tmp_path):
+    # An empty accepted set used to skip the weight check and write a
+    # constant-0 circuit.
+    for values in ("", "1"):
+        out_file = tmp_path / "v.circ"
+        code, out, err = run(
+            capsys, "circuit", "compile-valueset", "--w", f"1 {1 << 127}", "--s", values,
+            "--out", str(out_file),
+        )
+        assert (code, out, err) == (2, "", f"error: |{1 << 127}| exceeds the 2^127 budget\n")
+        assert not out_file.exists()
+
+
 def test_circuit_eval_with_trace(capsys, tmp_path):
     circuit_file = tmp_path / "eq.circ"
     run(capsys, "circuit", "compile-eq", str(FIXTURES / "eq_k2.txt"), "--out", str(circuit_file))
