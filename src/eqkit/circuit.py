@@ -338,7 +338,8 @@ def eval_circuit(
 def _reference_form(reference, n_inputs, n, weights, values):
     """The named reference as a linear form: 1 iff test(sum(coef[t] * x_t)).
 
-    Validates the reference arguments.  test takes an int64 or object array.
+    Validates the reference arguments.  test takes a signed integer or an
+    object array.
     """
     if reference in ("eq", "comp"):
         if n is None or n_inputs != 2 * n:
@@ -358,11 +359,15 @@ def _reference_form(reference, n_inputs, n, weights, values):
         if len(weights) != n_inputs:
             raise ValueError("valueset weights must match the input count")
         exact = np.array(sorted(set(int(v) for v in values)), dtype=object)
-        # Sums on the int64 route stay below _INT64_SAFE, so larger values never match.
-        small = exact[abs(exact) < _INT64_SAFE].astype(np.int64)
-        return [int(w) for w in weights], lambda s: np.isin(
-            s, exact if s.dtype == object else small
-        )
+
+        def test(s):
+            if s.dtype == object:
+                return np.isin(s, exact)
+            # Sums on an integer route fit its type, so values outside it never match.
+            span = np.iinfo(s.dtype)
+            return np.isin(s, exact[(exact >= span.min) & (exact <= span.max)].astype(s.dtype))
+
+        return [int(w) for w in weights], test
     raise ValueError(f"unknown reference {reference!r}")
 
 
@@ -413,10 +418,6 @@ def _stream_check(c: ThresholdCircuit, coef: Sequence[int], test):
     g = gates.size
     bounds = c._bounds[gates]
     risky = gates[bounds >= _LIMIT]
-    # A weight past int64 on a source that is always 0 leaves its bound small.
-    fits = not g or bounds.max() < _INT64_SAFE
-    fits = fits and c._weights.dtype != object and sum(map(abs, coef)) < _INT64_SAFE
-    dtype = np.int64 if fits else object
     # Each circuit row's form column: the inputs in order, then the gates.
     col = np.concatenate([[c._row[gid] for gid in c.inputs], gates]).argsort()
     out, ref = int(col[c._row[c.output]]) - k, g + risky.size  # out < 0 for an input
@@ -430,9 +431,18 @@ def _stream_check(c: ThresholdCircuit, coef: Sequence[int], test):
     rows, cols = np.arange(owners.size).repeat(counts), col[c._src[edges]]
     weights, split = c._weights[edges], counts[:g].sum()
     weights[split:] = np.abs(weights[split:])
+    # Every table entry, gate value, feed term and reference sum lies within
+    # +-top.  A weight counts on its own: on a source that is always 0 it
+    # leaves the gate's bound small.  The forms are int64 (or exact) for
+    # _keys; the stream runs in the narrowest type that holds -top - 1, so
+    # +top too, and in exact ints from 2**62 on.
+    top = max(bounds.max(initial=0), np.abs(weights).max(initial=0), sum(map(abs, coef)))
+    fits = top < _INT64_SAFE and weights.dtype != object
+    wide = np.int64 if fits else object
+    dtype = np.min_scalar_type(-int(top) - 1) if fits else object
     # Input columns are dense; an edge from a gate stays a (gate, weight) pair.
     fed = cols >= k
-    forms = np.zeros((len(rules), k), dtype=dtype)
+    forms = np.zeros((len(rules), k), dtype=wide)
     np.add.at(forms, (rows[~fed], cols[~fed]), weights[~fed])
     forms[ref] = coef
     if out < 0:
@@ -443,17 +453,18 @@ def _stream_check(c: ThresholdCircuit, coef: Sequence[int], test):
     feeds = [pairs[a:b] for a, b in zip(cuts, cuts[1:])]
     # Per row: a table and a value array per form, and the reference test;
     # an object entry is a pointer plus an int of up to 128 bits.
-    row_bytes = (8 if fits else 8 + sys.getsizeof(_LIMIT)) * (2 * len(forms) + 1)
+    row_bytes = (dtype.itemsize if fits else 8 + sys.getsizeof(_LIMIT)) * (2 * len(forms) + 1)
     bits = min(k, _MAX_CHUNK_BITS)
     while bits and row_bytes << bits > _CHUNK_BYTES:
         bits -= 1
     low = k - bits
     # Input 0 is the top counter bit, so the low inputs run last to first.
-    # The copies free the 2-D arrays _keys builds; measured, the per-chunk
-    # temporaries then reuse heap pages (960, not 4,300, page faults at k=20).
+    # The casts free the int64 arrays _keys builds.  Fresh per-chunk arrays
+    # still fault their pages in: measured per call on the n=10 CRT EQ check,
+    # 256-320 minor faults with int16 tables against 864-928 with int64 ones.
     # A form without low inputs gets a single zero, which broadcasts.
     tables = [
-        _keys(f[low:][::-1], range(2)).copy() if f[low:].any() else np.zeros(1, dtype)
+        _keys(f[low:][::-1], range(2)).astype(dtype) if f[low:].any() else np.zeros(1, dtype)
         for f in forms
     ]
     high = forms[:, :low]
@@ -463,7 +474,7 @@ def _stream_check(c: ThresholdCircuit, coef: Sequence[int], test):
         values = []
         for t, (acc, (kind, bias), offset, feed) in enumerate(zip(tables, rules, offsets, feeds)):
             for j, w in feed:
-                # dtype keeps a bit array times a weight past int64 exact.
+                # The product takes the stream's type, exact past int64.
                 acc = acc + np.multiply(w, values[j] if t < g else abs(values[j]), dtype=dtype)
             if kind == LT:
                 values.append(acc >= bias - offset)

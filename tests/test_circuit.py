@@ -6,6 +6,7 @@ import tracemalloc
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -861,6 +862,74 @@ def test_exhaustive_check_matches_row_by_row(monkeypatch, chunk_bytes):
         raised += isinstance(want, str)
     assert mismatches > 40
     assert raised > 10
+
+
+def rung_cases(top):
+    """(circuit, reference, kwargs) triples whose largest count is exactly top.
+
+    Each of the three counts the stream type must hold sets top in turn: a
+    gate bound reached by a value, a weight on a SUM gate that is always 0
+    (the gate bounds stay at 2), and a reference's sum of |coefficients|.
+    """
+    head = "inputs 1 2\noutput 4\n1 INPUT 0\n2 INPUT 0\n"
+    # Gate 3 reaches +top at (1, 1); gate 4 is 1 on every row unless it wraps.
+    reach = read_circuit(f"{head}3 SUM 0 1:{top - 1} 2:1\n4 LT 0 3:1\n")
+    # Gate 4 is x == y, x >= y or x xor y, plus top times gate 3, which is 0.
+    silent = f"{head}3 SUM 0\n4 {{}} 1:1 2:{{}} 3:{top}\n"
+    eq, comp = read_circuit(silent.format("EXACT 0", -1)), read_circuit(silent.format("LT 0", -1))
+    parity = read_circuit(silent.format("EXACT 1", 1))
+    first = read_circuit(f"{head}3 SUM 0\n4 LT 1 1:1\n")  # the output is input 1
+    # Sums on each side of the type's ends, which an integer route never reaches.
+    outside = {top + 1, -top - 1, -top - 2, 1 << 40, -(1 << 70)}
+    sums = dict(weights=(top - 1, 1))
+    cases = [(c, ref, dict(n=1)) for c in (eq, comp) for ref in ("eq", "comp")]
+    cases += [(c, "parity", {}) for c in (reach, eq, parity)]
+    cases += [
+        (reach, "valueset", dict(sums, values={0, 1, top - 1, top} | outside)),
+        (reach, "valueset", dict(sums, values={0, 1, top - 1} | outside)),
+        (first, "valueset", dict(sums, values={top - 1, top} | outside)),
+        (first, "valueset", dict(sums, values={top} | outside)),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("chunk_bytes", [8, 40, 1 << 12])
+@pytest.mark.parametrize(
+    "top, rung",
+    [
+        (127, np.int8),
+        (128, np.int16),
+        (32767, np.int16),
+        (32768, np.int32),
+        ((1 << 31) - 1, np.int32),
+        (1 << 31, np.int64),
+        (1 << 61, np.int64),
+        ((1 << 62) - 1, np.int64),
+        (1 << 62, object),
+    ],
+)
+def test_exhaustive_check_at_every_rung_boundary(monkeypatch, chunk_bytes, top, rung):
+    # The stream runs in the narrowest type that holds -top - 1: a count of
+    # +top one rung lower would wrap, and a weight past the type would raise.
+    monkeypatch.setattr(circuit_module, "_CHUNK_BYTES", chunk_bytes)
+    seen = set()
+
+    class Recorded(np.ndarray):
+        def astype(self, dtype, **kw):
+            seen.add(np.dtype(dtype))
+            return np.asarray(self).astype(dtype, **kw)
+
+    keys = circuit_module._keys
+    monkeypatch.setattr(circuit_module, "_keys", lambda coef, v: keys(coef, v).view(Recorded))
+    passed = mismatched = 0
+    for c, reference, kw in rung_cases(top):
+        want = first_mismatch_by_rows(c, reference, **kw)
+        assert exhaustive_check(c, reference, **kw) == want
+        passed += want is None
+        mismatched += want is not None
+    assert passed >= 5 and mismatched >= 5
+    if chunk_bytes == 1 << 12:  # every input is low, so every table is cast
+        assert seen == {np.dtype(rung)}
 
 
 @pytest.mark.parametrize(
