@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import sys
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, repeat
-from operator import itemgetter, neg
+from itertools import chain, compress, repeat
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -128,60 +126,60 @@ def _apply(code: np.ndarray, acc: np.ndarray, bias: np.ndarray) -> np.ndarray:
 class ThresholdCircuit:
     """Immutable DAG of gates with one designated output, stored by columns.
 
-    Row r is a gate: gid, kind and bias, and its fan-in in CSR form, the
-    edges indptr[r]:indptr[r+1] of the source-row and weight columns.  Rows
-    keep the order the gates came in.  Weights are int64, or exact ints
-    when one of them (in a file, any fan-in integer) reaches 2**62.  Gate
+    Row r is a gate: its id, kind code and bias in the _keys, _code and
+    _bias columns, and its fan-in in CSR form, the edges indptr[r]:indptr[r+1]
+    of the source-row and weight columns.  The columns are the only copy of
+    a gate's fields.  Rows keep the order the gates came in.  Ids, biases
+    and weights follow the _column rule: int64, or exact ints when one of
+    them (for weights in a file, any fan-in integer) reaches 2**62.  Gate
     objects are a view, built on first use.
     """
 
     def __init__(self, gates: Iterable[Gate], inputs: Sequence[int], output: int):
         gates = list(gates)
-        fans = [g.fan_in for g in gates]
-        counts = list(map(len, fans))
+        edges = list(chain.from_iterable(g.fan_in for g in gates))
+        sources, weights = _column([s for s, _ in edges]), _column([w for _, w in edges])
         self._build(
-            [g.gid for g in gates],
-            [g.kind for g in gates],
-            [g.bias for g in gates],
-            counts,
-            _column(list(map(itemgetter(0), chain.from_iterable(fans)))),
-            _column(list(map(itemgetter(1), chain.from_iterable(fans)))),
-            inputs,
-            output,
+            [g.gid for g in gates], [_CODE[g.kind] for g in gates], [g.bias for g in gates],
+            [len(g.fan_in) for g in gates], sources, weights, inputs, output,
         )
         self._batches  # a cycle raises here
 
-    def _build(self, gids, kinds, biases, counts, sources, weights, inputs, output) -> None:
+    def _build(self, gids, codes, biases, counts, sources, weights, inputs, output) -> None:
         """Check the ids, inputs, output and sources of gates whose own fields
-        are checked, then store the columns.  sources and weights list the
-        fan-in edges gate by gate, sources by gid."""
+        are checked, then store the columns.  gids, kind codes, biases and
+        fan-in counts come one per gate; the sources (by gid) and weights
+        columns list the fan-in edges gate by gate."""
+        keys = _column(gids)
+        gids = keys.tolist()
         row: dict[int, int] = {}
         for r, gid in enumerate(gids):
             if gid in row:
                 raise ValueError(f"duplicate gate id {gid}")
             row[gid] = r
+        code = np.asarray(codes, dtype=np.int8)
         inputs = tuple(inputs)
-        listed = set(inputs)
-        for gid in inputs:
-            if gid not in row or kinds[row[gid]] != INPUT:
-                raise ValueError(f"input id {gid} is not an INPUT gate")
-        if len(listed) != len(inputs):
+        # Row -1, past the last, stands for an id that is no gate.
+        ins = np.fromiter(map(row.get, inputs, repeat(-1)), dtype=np.int64, count=len(inputs))
+        unlisted = np.concatenate([code == _CODE[INPUT], [False]])
+        for gid in compress(inputs, ~unlisted[ins]):  # the first raises
+            raise ValueError(f"input id {gid} is not an INPUT gate")
+        if len(set(inputs)) != len(inputs):
             raise ValueError("input ids must not repeat")
-        for gid, kind in zip(gids, kinds):
-            if kind == INPUT and gid not in listed:
-                raise ValueError(f"INPUT gate {gid} is missing from the input list")
+        unlisted[ins] = False
+        if unlisted.any():
+            raise ValueError(f"INPUT gate {gids[unlisted.argmax()]} is missing from the input list")
         if output not in row:
             raise ValueError(f"output id {output} does not exist")
-        size = len(gids)
-        indptr = np.fromiter(accumulate(counts, initial=0), dtype=np.int64, count=size + 1)
+        indptr = np.zeros(len(gids) + 1, dtype=np.int64)
+        np.asarray(counts, dtype=np.int64).cumsum(out=indptr[1:])
         # Map each source gid to its row through the rows sorted by gid.
-        keys = _column(gids)
         if keys.dtype != sources.dtype:
             keys, sources = keys.astype(object), sources.astype(object)
         by_gid = keys.argsort(kind="stable")
         ordered = keys[by_gid]
         # Rows fit the smallest signed int type: a small source column.
-        by_gid = by_gid.astype(np.min_scalar_type(-size))
+        by_gid = by_gid.astype(np.min_scalar_type(-len(gids)))
         runs = [by_gid[:0]]
         for lo in range(0, sources.size, _RUN_EDGES):
             run = sources[lo : lo + _RUN_EDGES]
@@ -191,12 +189,9 @@ class ThresholdCircuit:
                 gid = gids[int(indptr.searchsorted(edge, side="right")) - 1]
                 raise ValueError(f"gate {gid} references missing source {sources[edge]}")
             runs.append(by_gid[at])
-        src = np.concatenate(runs)
-        self._gids, self._kinds, self._biases = gids, kinds, biases
-        self._inputs, self._output, self._row = inputs, output, row
-        self._indptr, self._src, self._weights = indptr, src, weights
-        self._keys, self._by_gid = keys, by_gid
-        self._code = np.array([_CODE[kind] for kind in kinds], dtype=np.int8)
+        self._keys, self._code, self._bias = keys, code, _column(biases)
+        self._indptr, self._src, self._weights = indptr, np.concatenate(runs), weights
+        self._by_gid, self._in, self._out = by_gid, ins, row[output]
 
     @cached_property
     def _gate_map(self) -> dict[int, Gate]:
@@ -204,9 +199,9 @@ class ThresholdCircuit:
         weights = self._weights.tolist()
         bounds = self._indptr.tolist()
         return {
-            gid: Gate(gid, kind, tuple(zip(sources[a:b], weights[a:b])), bias)
-            for gid, kind, bias, a, b in zip(
-                self._gids, self._kinds, self._biases, bounds, bounds[1:]
+            gid: Gate(gid, _KINDS[code], tuple(zip(sources[a:b], weights[a:b])), bias)
+            for gid, code, bias, a, b in zip(
+                self._keys.tolist(), self._code.tolist(), self._bias.tolist(), bounds, bounds[1:]
             )
         }
 
@@ -235,10 +230,6 @@ class ThresholdCircuit:
             starts = np.cumsum(fan[rows]) - fan[rows]
             levels.append((rows, self._src[edges], self._weights[edges], starts))
         return levels
-
-    @cached_property
-    def _bias(self) -> np.ndarray:
-        return _column(self._biases)
 
     @cached_property
     def _bounds(self) -> np.ndarray:
@@ -270,22 +261,22 @@ class ThresholdCircuit:
 
     @property
     def inputs(self) -> tuple[int, ...]:
-        return self._inputs
+        return tuple(self._keys[self._in].tolist())
 
     @property
     def output(self) -> int:
-        return self._output
+        return int(self._keys[self._out])
 
     @cached_property
     def topo_order(self) -> tuple[int, ...]:
-        return tuple(map(self._gids.__getitem__, self._order.tolist()))
+        return tuple(self._keys[self._order].tolist())
 
     @cached_property
     def depth(self) -> int:
         depth = np.isin(self._code, (_CODE[LT], _CODE[EXACT])).astype(np.int64)
         for rows, src, _, starts in self._levels:
             depth[rows] += np.maximum.reduceat(depth[src], starts)
-        return int(depth[self._row[self._output]])
+        return int(depth[self._out])
 
     @property
     def gate_count(self) -> int:
@@ -304,17 +295,15 @@ def eval_circuit(
     budget check, in topological order, so the first value out of budget
     raises MagnitudeError as a gate-by-gate walk would.
     """
-    if len(assignment) != len(c.inputs):
-        raise ValueError(
-            f"assignment length {len(assignment)} != input count {len(c.inputs)}"
-        )
+    if len(assignment) != c._in.size:
+        raise ValueError(f"assignment length {len(assignment)} != input count {c._in.size}")
     if any(b not in (0, 1) for b in assignment):
         raise ValueError("assignment entries must be bits")
     bits = [int(b) for b in assignment]
     bounds, code, bias = c._bounds, c._code, c._bias
     exact = bounds.max() >= _INT64_SAFE or c._weights.dtype == object
     values = _apply(code, np.zeros(len(code), dtype=object if exact else np.int64), bias)
-    values[[c._row[gid] for gid in c.inputs]] = bits
+    values[c._in] = bits
     for rows, src, w, starts in c._levels:
         terms = values[src]
         terms *= w
@@ -326,11 +315,10 @@ def eval_circuit(
             a, b, row = int(starts[t]), ends[t], int(rows[t])
             terms = [x * v for x, v in zip(w[a:b].tolist(), values[src[a:b]].tolist())]
             acc = _checked_sum(terms, sum(map(abs, terms)))
-            if c._kinds[row] == SUM:
-                checked(acc + c._biases[row])
-    final = values.tolist()
-    trace = dict(zip(c.inputs, bits))
-    trace.update((c._gids[r], final[r]) for r in c._ordered_rows.tolist())
+            if code[row] == _CODE[SUM]:
+                checked(acc + int(bias[row]))
+    rows = np.concatenate([c._in, c._ordered_rows])
+    trace = dict(zip(c._keys[rows].tolist(), values[rows].tolist()))
     result = trace[c.output]
     return (result, trace) if want_trace else result
 
@@ -389,7 +377,7 @@ def exhaustive_check(
     leaving the 2**127 budget raises MagnitudeError at the same assignment
     as a row-by-row eval_circuit scan.
     """
-    n_inputs = len(c.inputs)
+    n_inputs = c._in.size
     coef, test = _reference_form(reference, n_inputs, n, weights, values)
     _check_cap(1 << n_inputs, cap)
     return _stream_check(c, coef, test)
@@ -414,17 +402,18 @@ def _stream_check(c: ThresholdCircuit, coef: Sequence[int], test):
     row).  Rows where a bound reaches 2**127 are replayed by eval_circuit up
     to the chunk's first mismatch, to raise where it would.
     """
-    k, gates = len(c.inputs), c._ordered_rows
+    k, gates = c._in.size, c._ordered_rows
     g = gates.size
     bounds = c._bounds[gates]
     risky = gates[bounds >= _LIMIT]
     # Each circuit row's form column: the inputs in order, then the gates.
-    col = np.concatenate([[c._row[gid] for gid in c.inputs], gates]).argsort()
-    out, ref = int(col[c._row[c.output]]) - k, g + risky.size  # out < 0 for an input
+    col = np.concatenate([c._in, gates]).argsort()
+    out, ref = int(col[c._out]) - k, g + risky.size  # out < 0 for an input
     # Gates keep their rule; a bound row is a SUM with |bias|, the reference
     # and unit rows are SUMs with bias 0.
-    rules = [(c._kinds[r], c._biases[r]) for r in gates.tolist()]
-    rules += [(SUM, abs(c._biases[r])) for r in risky.tolist()] + [(SUM, 0)] * (1 + (out < 0))
+    rules = list(zip(c._code[gates].tolist(), c._bias[gates].tolist()))
+    rules += [(_CODE[SUM], b) for b in np.abs(c._bias[risky]).tolist()]
+    rules += [(_CODE[SUM], 0)] * (1 + (out < 0))
     owners = np.concatenate([gates, risky])  # the circuit row of each gate or bound row
     counts = np.diff(c._indptr)[owners]
     edges = _ranges(c._indptr[owners], c._indptr[owners + 1])
@@ -476,9 +465,9 @@ def _stream_check(c: ThresholdCircuit, coef: Sequence[int], test):
             for j, w in feed:
                 # The product takes the stream's type, exact past int64.
                 acc = acc + np.multiply(w, values[j] if t < g else abs(values[j]), dtype=dtype)
-            if kind == LT:
+            if kind == _CODE[LT]:
                 values.append(acc >= bias - offset)
-            elif kind == EXACT:
+            elif kind == _CODE[EXACT]:
                 values.append(acc == bias - offset)
             else:
                 values.append(acc + (bias + offset))
@@ -507,7 +496,7 @@ def compile_eq_circuit(
         if witness is not None:
             raise ValueError(
                 f"matrix failed the EQ check (kernel vector {witness.x}); "
-                "pass verify=False to compile anyway"
+                "pass verify=False (--unchecked) to compile anyway"
             )
     layer = _difference_layer(a, np.arange(a.m), 0)
     return _depth_two(2 * a.n, *layer, [0] * a.m, EXACT, 1, a.m)
@@ -550,12 +539,12 @@ def _depth_two(
     top = k + g + 1
     c = ThresholdCircuit.__new__(ThresholdCircuit)
     c._build(
-        list(range(1, top + 1)),
-        [INPUT] * k + [EXACT] * g + [top_kind],
+        np.arange(1, top + 1),
+        np.repeat(np.int8([_CODE[INPUT], _CODE[EXACT], _CODE[top_kind]]), [k, g, 1]),
         [0] * k + biases + [top_bias],
-        [0] * k + counts.tolist() + [g],
+        np.concatenate([np.zeros(k, dtype=np.int64), counts, [g]]),
         np.concatenate([sources, np.arange(k + 1, top)]),
-        _column(np.concatenate([weights, np.full(g, top_weight)])),
+        np.concatenate([weights, np.full(g, top_weight)]),
         range(1, k + 1),
         top,
     )
@@ -598,6 +587,8 @@ def compile_comp_circuit(
     -1.  The top gate fires unless some level lights up a full row block:
     all weights -1, bias -n(m-1)+1.
     """
+    if n < 1 or m < 1 or r < 1:
+        raise ValueError("n, m and r must be positive")
     if a.m != r * m or a.n != n:
         raise ValueError(f"matrix must be {r * m}x{n} for these parameters")
     if r * m <= n * (m - 1):
@@ -609,7 +600,7 @@ def compile_comp_circuit(
         if witness is not None:
             raise ValueError(
                 f"matrix failed the RMDS_3 check (rows {witness.rows}, kernel "
-                f"{witness.kernel.x}); pass verify=False to compile anyway"
+                f"{witness.kernel.x}); pass verify=False (--unchecked) to compile anyway"
             )
     # Fan-in pairs: r*m*n layer gates of at most 2n each, and the top gate's.
     _check_cap(r * m * n * (2 * n + 1), cap)
@@ -628,55 +619,61 @@ def exactify_to_lt(c: ThresholdCircuit) -> ThresholdCircuit:
     EXACT output gate gains one SUM gate to realize the -1.  The second
     halves take the ids after the largest, in topological order; gates come
     out in topological order, each second half right after its first.
+
+    On the columns: each edge from an EXACT gate is repeated, the copy
+    reading that gate's second half; each EXACT row is repeated with negated
+    weights; each bias moves by one segment sum of its doubled edges' weights.
     """
-    order = c._order.tolist()
-    exact = [kind == EXACT for kind in c._kinds]
-    first = max(c._gids) + 1
-    twin = {r: first + t for t, r in enumerate(r for r in order if exact[r])}
-    ptr, src = c._indptr.tolist(), c._src.tolist()
-    sources = c._keys[c._src].tolist()
-    weights = c._weights.tolist()
-    # Edges from an EXACT gate, which become two: from it and its second half.
-    doubled = (c._code == _CODE[EXACT])[c._src].nonzero()[0].tolist()
-    gids, kinds, biases, counts, out_src, out_w = [], [], [], [], [], []
-    for r in order:
-        a, b = ptr[r], ptr[r + 1]
-        fan_s, fan_w, bias = sources[a:b], weights[a:b], c._biases[r]
-        split = doubled[bisect_left(doubled, a) : bisect_left(doubled, b)]
-        for e in reversed(split):
-            fan_s.insert(e - a + 1, twin[src[e]])
-            fan_w.insert(e - a + 1, weights[e])
-            bias = bias - weights[e] if c._kinds[r] == SUM else bias + weights[e]
-        gids.append(c._gids[r])
-        kinds.append(LT if exact[r] else c._kinds[r])
-        biases.append(checked(bias))
-        counts.append(len(fan_s))
-        out_src += fan_s
-        out_w += fan_w
-        if exact[r]:
-            gids.append(twin[r])
-            kinds.append(LT)
-            biases.append(-bias)
-            counts.append(len(fan_s))
-            out_src += fan_s
-            out_w += map(neg, fan_w)
-    output = c.output
-    if exact[c._row[output]]:
-        gids.append(first + len(twin))
-        kinds.append(SUM)
-        biases.append(-1)
-        counts.append(2)
-        out_src += [output, twin[c._row[output]]]
-        out_w += [1, 1]
-        output = gids[-1]
+    order, code, ptr = c._order, c._code, c._indptr
+    exact = code == _CODE[EXACT]
+    doubled = np.flatnonzero(exact[c._src])  # the edges from an EXACT gate
+    cuts = doubled.searchsorted(ptr)  # per row boundary, the doubled edges before it
+    # A row's shift is a difference of running sums over the doubled edges'
+    # weights, in int64 while the sum of their magnitudes stays below 2**61.
+    shift, bias = c._weights[doubled], c._bias
+    if bias.dtype == object or shift.dtype == object or np.abs(shift).sum(dtype=float) >= 2.0**61:
+        shift, bias = shift.astype(object), bias.astype(object)
+    shift = np.diff(np.concatenate([[0], shift]).cumsum()[cuts])
+    bias = bias + np.where(code == _CODE[SUM], -shift, shift)
+    if bias.dtype == object:  # the first bias out of budget in topological order raises
+        for b in bias[order][np.abs(bias[order]) >= _LIMIT]:
+            checked(b)
+    # The rows in topological order, each EXACT row followed by its twin.
+    rows = order.repeat(exact[order] + 1)
+    twin = np.zeros(rows.size, dtype=bool)
+    twin[1:] = rows[1:] == rows[:-1]
+    at = np.empty_like(order)  # each row's place among the new rows
+    at[order] = np.flatnonzero(~twin)
+    first, twins = int(c._keys.max()) + 1, rows.size - order.size
+    keys = c._keys[rows]
+    keys[twin] = first + np.arange(twins, dtype=keys.dtype)
+    biases, counts = bias[rows], np.diff(ptr + cuts)[rows]
+    biases[twin] = -biases[twin]
+    # Each row's edges, each edge from an EXACT gate followed by its copy.
+    edges = _ranges(ptr[rows], ptr[rows + 1])
+    again = exact[c._src[edges]]
+    copies = np.flatnonzero(again)
+    edges = edges.repeat(again + np.int8(1))
+    weights = c._weights[edges]
+    weights[twin.repeat(counts)] *= -1
+    sources = at[c._src[edges]]
+    sources[copies + np.arange(1, copies.size + 1)] += 1  # a copy reads the second half
+    sources = keys[sources]
+    codes, output = np.where(exact, _CODE[LT], code)[rows], c.output
+    if exact[c._out]:
+        sources = np.concatenate([sources, keys[[at[c._out], at[c._out] + 1]]])
+        keys, codes = np.concatenate([keys, [first + twins]]), np.concatenate([codes, [_CODE[SUM]]])
+        biases, counts = np.concatenate([biases, [-1]]), np.concatenate([counts, [2]])
+        weights, output = np.concatenate([weights, [1, 1]]), first + twins
     lt = ThresholdCircuit.__new__(ThresholdCircuit)  # acyclic, as c is
-    lt._build(gids, kinds, biases, counts, _column(out_src), _column(out_w), c.inputs, output)
+    lt._build(keys, codes, biases, counts, sources, weights, c.inputs, output)
     return lt
 
 
 def write_circuit(c: ThresholdCircuit) -> str:
     """Line-based text form: inputs/output headers, then one gate per line by id."""
-    size, ptr = len(c._gids), c._indptr.tolist()
+    size, ptr = c._code.size, c._indptr.tolist()
+    gids, kinds, biases = c._keys.tolist(), c._code.tolist(), c._bias.tolist()
     texts = []
     # Gates are written in runs of about _RUN_EDGES fan-in pairs, in line order.
     step = max(1, _RUN_EDGES * size // max(ptr[-1], 1))
@@ -687,7 +684,7 @@ def write_circuit(c: ThresholdCircuit) -> str:
         for r in range(lo, hi):
             a, b = ptr[r] - ptr[lo], ptr[r + 1] - ptr[lo]
             pairs = (f"{s}:{w}" for s, w in zip(sources[a:b], weights[a:b]))
-            texts.append(" ".join([f"{c._gids[r]} {c._kinds[r]} {c._biases[r]}", *pairs]))
+            texts.append(" ".join([f"{gids[r]} {_KINDS[kinds[r]]} {biases[r]}", *pairs]))
     lines = ["inputs " + " ".join(str(i) for i in c.inputs), f"output {c.output}"]
     lines += map(texts.__getitem__, c._by_gid.tolist())
     lines.append("")  # a final newline without copying the joined text
@@ -710,14 +707,14 @@ def read_circuit(text: str) -> ThresholdCircuit:
         output = int(output)
     except ValueError:
         raise CircuitFormatError("malformed header") from None
-    gids, kinds, biases, counts, fans = [], [], [], [], []
+    gids, codes, biases, counts, fans = [], [], [], [], []
     try:
         for line in lines[2:]:
             gid, kind, bias, *fan = line.split(None, 3)
             count = fan[0].count(":") if fan else 0
             _check_kind(kind, count > 0)
             gids.append(int(gid))
-            kinds.append(kind)
+            codes.append(_CODE[kind])
             biases.append(checked(int(bias)))
             counts.append(count)
             fans += fan
@@ -729,11 +726,11 @@ def read_circuit(text: str) -> ThresholdCircuit:
         nums = _plain_numbers(fans, 2 * sum(counts), pairs=True)
     del fans
     if nums is None:
-        gids, kinds, biases, counts, nums = _read_gates(_gate_lines(text)[2:])
+        gids, codes, biases, counts, nums = _read_gates(_gate_lines(text)[2:])
     sources, weights = nums[0::2].copy(), nums[1::2].copy()
     del nums
     c = ThresholdCircuit.__new__(ThresholdCircuit)
-    c._build(gids, kinds, biases, counts, sources, weights, inputs, output)
+    c._build(gids, codes, biases, counts, sources, weights, inputs, output)
     c._batches  # a cycle raises here
     return c
 
@@ -749,8 +746,8 @@ def _gate_lines(text: str) -> list[str]:
 
 
 def _read_gates(lines: list[str]) -> tuple[list, list, list, list, np.ndarray]:
-    """gids, kinds, biases, fan-in counts and the fan-in numbers of gate lines, by int()."""
-    gids, kinds, biases, counts, values = [], [], [], [], []
+    """gids, kind codes, biases, fan-in counts and the fan-in numbers of gate lines, by int()."""
+    gids, codes, biases, counts, values = [], [], [], [], []
     for line in lines:
         try:
             gid, kind, bias, *rest = line.split(None, 3)
@@ -764,11 +761,11 @@ def _read_gates(lines: list[str]) -> tuple[list, list, list, list, np.ndarray]:
         _check_kind(kind, bool(tokens))
         _check_weights(nums[1::2])
         gids.append(gid)
-        kinds.append(kind)
+        codes.append(_CODE[kind])
         biases.append(checked(bias))
         counts.append(len(tokens))
         values += nums
-    return gids, kinds, biases, counts, _column(values)
+    return gids, codes, biases, counts, _column(values)
 
 
 def format_trace(values: dict[int, int]) -> str:

@@ -152,6 +152,46 @@ def eval_gates(gates, inputs, bits):
     return values
 
 
+def exactify_gates(gates, inputs, output):
+    """The EXACT-to-LT rewrite one gate at a time; gates maps gid -> (kind, fan_in, bias).
+
+    1{F = b} = 1{F >= b} + 1{-F >= -b} - 1.  The second halves of the EXACT
+    gates take the ids after the largest, in Kahn order.  Walking the gates
+    in Kahn order, each fan-in edge from an EXACT gate gains a copy right
+    after it from that gate's second half, and its consumer's bias takes up
+    the -1: it rises by the weight, or falls by it for a SUM gate.  An EXACT
+    gate becomes an LT gate, and its second half an LT gate with the same
+    fan-in negated and the bias negated.  An EXACT output gains a SUM gate
+    of both halves with bias -1.  A bias out of the 2^127 budget raises
+    BudgetError, the first in Kahn order.  Returns (gates, inputs, output).
+    """
+    order = kahn_order(gates)
+    second = {}
+    for gid in order:
+        if gates[gid][0] == "EXACT":
+            second[gid] = max(gates) + 1 + len(second)
+    out = {}
+    for gid in order:
+        kind, fan, bias = gates[gid]
+        new_fan = []
+        for src, w in fan:
+            new_fan.append((src, w))
+            if src in second:
+                new_fan.append((second[src], w))
+                bias = bias - w if kind == "SUM" else bias + w
+        _in_budget(bias)
+        if kind == "EXACT":
+            out[gid] = ("LT", tuple(new_fan), bias)
+            out[second[gid]] = ("LT", tuple((src, -w) for src, w in new_fan), -bias)
+        else:
+            out[gid] = (kind, tuple(new_fan), bias)
+    if output in second:
+        top = max(gates) + 1 + len(second)
+        out[top] = ("SUM", ((output, 1), (second[output], 1)), -1)
+        output = top
+    return out, inputs, output
+
+
 class CircuitTextError(ValueError):
     """The reference reader rejects a circuit text."""
 

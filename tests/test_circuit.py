@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import itertools
 import random
@@ -39,6 +40,7 @@ from oracles import (
     BudgetError,
     CircuitTextError,
     eval_gates,
+    exactify_gates,
     gates_depth,
     gates_text,
     kahn_order,
@@ -316,6 +318,16 @@ def test_compile_comp_validation():
         compile_comp_circuit(thin, 3, 2, 1)  # separation 2 <= 3*(2-1)
 
 
+@pytest.mark.parametrize("m, r", [(-1, -4), (-2, -2), (-4, -1), (0, 4)])
+def test_compile_comp_refuses_nonpositive_m_or_r(m, r):
+    # On the 4x8 CRT matrix r*m = 4 matches the rows for the negative pairs,
+    # and r*m > n*(m-1) holds for m < 1, so only the sign check refuses them;
+    # it also comes before the shape check.
+    a = build_crt(8, choose_primes(8))
+    with pytest.raises(ValueError, match=r"^n, m and r must be positive$"):
+        compile_comp_circuit(a, 8, m, r, verify=False)
+
+
 def _difference_gate(gid, row, start, n, kind, bias):
     """The gate testing row[start:] . (x - y) against bias, built pair by pair."""
     fan = [(j + 1, row[j]) for j in range(start, n) if row[j]]
@@ -433,6 +445,87 @@ def test_exactify_gate_count_and_depth(eq_4x8):
     assert lt.gate_count == 11
     assert lt.depth == 2
     assert exhaustive_check(lt, "eq", n=8) is None
+
+
+def _exactify_case(rng):
+    """A random DAG as (gates, listed order, inputs, output), gates mapping
+    gid -> (kind, fan_in, bias).  Ids have gaps and, in some DAGs, lie just
+    below 2**62 (so the second halves' ids may pass it), around it, or past
+    2**63.  Large weights lie just below 2**62 (so that some int64 columns
+    sum past int64), at it, or at 2**63.  In 40% of the DAGs most weights
+    and biases lie within 3 of +-2**126, in two of three of them all of one
+    sign, so that the rewrite moves biases out of budget."""
+    k, near, sign = rng.randint(1, 3), rng.random() < 0.4, rng.choice((-1, 1, None))
+    big = rng.choice(((1 << 62) - 1, 1 << 62, 1 << 63))  # the first keeps int64 columns
+    base = rng.choice((0, 0, 0, (1 << 62) - 30, (1 << 62) - 5, 1 << 63))
+    ids = [base + gid for gid in rng.sample(range(-3, 30), k + rng.randint(1, 12 if near else 8))]
+
+    def number():
+        pick = rng.random()
+        if pick < 0.15:
+            return rng.randint(-3, 3)
+        if pick < 0.3:
+            return rng.choice((-1, 1)) * (big - rng.randint(0, 2))
+        if not near:
+            return rng.randint(-9, 9)
+        return (sign or rng.choice((-1, 1))) * (B + rng.randint(-3, 3))
+
+    gates = {gid: ("INPUT", (), 0) for gid in ids[:k]}
+    for t, gid in enumerate(ids[k:], k):
+        fan = tuple((rng.choice(ids[:t]), number()) for _ in range(rng.randint(0, 4)))
+        gates[gid] = (rng.choice(("LT", "EXACT", "EXACT", "SUM")), fan, number())
+    listed = list(gates)
+    rng.shuffle(listed)
+    return gates, listed, ids[:k], rng.choice(ids[k:] if rng.random() < 0.8 else ids)
+
+
+def _moved_out_of_budget(gates):
+    """The gates whose bias leaves the budget once it takes up the -1 of
+    each fan-in edge from an EXACT gate."""
+    exact = {gid for gid, (kind, _, _) in gates.items() if kind == "EXACT"}
+    over = []
+    for gid, (kind, fan, bias) in gates.items():
+        shift = sum(w for src, w in fan if src in exact)
+        if abs(bias - shift if kind == "SUM" else bias + shift) >= 1 << 127:
+            over.append(gid)
+    return over
+
+
+def test_exactify_matches_the_gate_by_gate_rewrite():
+    # The column rewrite against the gate-by-gate one, on circuits built from
+    # Gate objects and, for about a third, read from text in the same order.
+    rng = random.Random(23)
+    seen = collections.Counter()
+    for _ in range(2000):
+        gates, listed, inputs, output = _exactify_case(rng)
+        c = ThresholdCircuit([Gate(gid, *gates[gid]) for gid in listed], inputs, output)
+        if rng.random() < 0.35:
+            lines = [" ".join([str(gid), gates[gid][0], str(gates[gid][2])]
+                              + [f"{s}:{w}" for s, w in gates[gid][1]]) for gid in listed]
+            c = read_circuit("\n".join([f"inputs {' '.join(map(str, inputs))}",
+                                        f"output {output}", *lines, ""]))
+        exact = {gid for gid in gates if gates[gid][0] == "EXACT"}
+        consumers = [kind for kind, fan, _ in gates.values() if exact & {s for s, _ in fan}]
+        seen["exact output"] += output in exact
+        seen["exact chain"] += "EXACT" in consumers
+        seen["sum consumer"] += "SUM" in consumers
+        seen["big ids"] += max(map(abs, gates)) >= 1 << 62
+        weights = [w for _, fan, _ in gates.values() for _, w in fan]
+        seen["big weights"] += max(map(abs, weights), default=0) >= 1 << 62
+        values = weights + [bias for _, _, bias in gates.values()]
+        seen["int64 columns near 2**62"] += 1 << 61 <= max(map(abs, values)) < 1 << 62
+        try:
+            want = gates_text(*exactify_gates(gates, inputs, output))
+        except BudgetError as exc:
+            with pytest.raises(MagnitudeError) as info:
+                exactify_to_lt(c)
+            assert str(info.value) == str(exc)
+            over, topo = _moved_out_of_budget(gates), kahn_order(gates)
+            seen["raised"] += 1
+            seen["orders differ"] += min(over, key=listed.index) != min(over, key=topo.index)
+        else:
+            assert write_circuit(exactify_to_lt(c)) == want
+    assert min(seen.values()) >= 50, seen
 
 
 def test_circuit_serialization_round_trip(eq_4x8):

@@ -569,8 +569,27 @@ def test_circuit_compile_eq_names_the_first_collision(capsys, tmp_path, crt_7x20
         2,
         "",
         f"error: matrix failed the EQ check (kernel vector ({kernel})); "
-        "pass verify=False to compile anyway\n",
+        "pass verify=False (--unchecked) to compile anyway\n",
     )
+
+
+def test_circuit_compile_comp_refusal_names_unchecked(capsys):
+    argv = ("circuit", "compile-comp", str(FIXTURES / "crt_4x8.txt"), "--n", "8", "--m", "1")
+    code, out, err = run(capsys, *argv, "--r", "4")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: matrix failed the RMDS_3 check (rows ")
+    assert err.endswith("; pass verify=False (--unchecked) to compile anyway\n")
+
+
+@pytest.mark.parametrize("m, r", [("-1", "-4"), ("-2", "-2"), ("-4", "-1")])
+def test_circuit_compile_comp_refuses_nonpositive_m_or_r(capsys, tmp_path, m, r):
+    # r*m matches the 4 rows and the separation test passes, so before the
+    # sign check these wrote a 33-gate circuit.
+    out = tmp_path / "comp.circ"
+    argv = ("circuit", "compile-comp", str(FIXTURES / "crt_4x8.txt"), "--n", "8",
+            "--m", m, "--r", r, "--unchecked", "--out", str(out))
+    assert run(capsys, *argv) == (2, "", "error: n, m and r must be positive\n")
+    assert not out.exists()
 
 
 def test_circuit_check_validates_the_reference_before_the_cap(capsys, tmp_path):
