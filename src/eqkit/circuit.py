@@ -13,17 +13,16 @@ EXACT gates on the longest input-to-output path; SUM gates are wiring.
 
 from __future__ import annotations
 
-import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .matrix import _CHUNK_BYTES, _INT64_SAFE, _LIMIT, IntMatrix, MagnitudeError, _checked_sum
-from .matrix import _column, _plain_numbers, checked
+from .matrix import _CHUNK_BYTES, _EXACT_INT_BYTES, _INT64_SAFE, _LIMIT, IntMatrix, MagnitudeError
+from .matrix import _check_budget, _checked_sum, _column, _plain_numbers, checked
 from .verify import _check_cap, _keys, is_eq_q, is_rmds
 
 INPUT = "INPUT"
@@ -52,12 +51,6 @@ def _check_kind(kind: str, fanned: bool) -> None:
         raise ValueError("INPUT gates take no fan-in")
 
 
-def _check_weights(weights: Sequence[int]) -> None:
-    if weights and (max(weights) >= _LIMIT or min(weights) <= -_LIMIT):
-        for w in weights:  # name the first weight out of budget
-            checked(w)
-
-
 @dataclass(frozen=True)
 class Gate:
     gid: int
@@ -68,7 +61,7 @@ class Gate:
     def __post_init__(self) -> None:
         fan = tuple((int(src), int(w)) for src, w in self.fan_in)
         _check_kind(self.kind, bool(fan))
-        _check_weights([w for _, w in fan])
+        _check_budget([w for _, w in fan])
         object.__setattr__(self, "fan_in", fan)
         object.__setattr__(self, "bias", checked(int(self.bias)))
 
@@ -123,75 +116,87 @@ def _apply(code: np.ndarray, acc: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return np.where(code == _CODE[SUM], acc + bias, fired)
 
 
+def _id_rows(gids, code, counts, sources, inputs, output):
+    """Check the ids of gates whose own fields are checked, and look them up.
+
+    Raises the first fault, in this order: a repeated id (at the first row
+    that repeats an earlier one), an input that is no INPUT gate, repeated
+    inputs, an INPUT gate missing from the input list, a missing output, a
+    missing source (at the first edge).  One stable argsort of the ids
+    serves every lookup.  Returns the id column (exact ints when the sources
+    are), then the source rows, the input rows and the output row.
+    """
+    keys = _column(gids)
+    if keys.dtype != sources.dtype:
+        keys, sources = keys.astype(object), sources.astype(object)
+    by_gid = keys.argsort(kind="stable")
+    ordered, by_gid = keys[by_gid], by_gid.astype(np.min_scalar_type(-keys.size))
+    again = ordered[1:] == ordered[:-1]
+    if again.any():
+        raise ValueError(f"duplicate gate id {keys[by_gid[1:][again].min()]}")
+    # The header ids as rows: -1, past the last row, stands for an id that is no gate.
+    head = _column([*inputs, output])
+    wide = ordered if head.dtype == ordered.dtype else ordered.astype(object)
+    at = wide.searchsorted(head)
+    rows = np.append(by_gid, -1)[np.where(wide.searchsorted(head, side="right") > at, at, -1)]
+    ins, out = rows[:-1], int(rows[-1])
+    unlisted = np.append(np.equal(code, _CODE[INPUT]), False)
+    if not unlisted[ins].all():
+        raise ValueError(f"input id {head[(~unlisted[ins]).argmax()]} is not an INPUT gate")
+    if np.bincount(ins, minlength=1).max() > 1:
+        raise ValueError("input ids must not repeat")
+    unlisted[ins] = False
+    if unlisted.any():
+        raise ValueError(f"INPUT gate {keys[unlisted.argmax()]} is missing from the input list")
+    if out < 0:
+        raise ValueError(f"output id {output} does not exist")
+    runs = [by_gid[:0]]
+    for lo in range(0, sources.size, _RUN_EDGES):
+        run = sources[lo : lo + _RUN_EDGES]
+        at = ordered.searchsorted(run)
+        if (ordered.take(at, mode="clip") != run).any():
+            edge = lo + int((ordered.take(at, mode="clip") != run).argmax())
+            gid = keys[np.cumsum(counts).searchsorted(edge, side="right")]
+            raise ValueError(f"gate {gid} references missing source {sources[edge]}")
+        runs.append(by_gid[at])
+    return keys, np.concatenate(runs), ins, out
+
+
 class ThresholdCircuit:
     """Immutable DAG of gates with one designated output, stored by columns.
 
     Row r is a gate: its id, kind code and bias in the _keys, _code and
     _bias columns, and its fan-in in CSR form, the edges indptr[r]:indptr[r+1]
     of the source-row and weight columns.  The columns are the only copy of
-    a gate's fields.  Rows keep the order the gates came in.  Ids, biases
-    and weights follow the _column rule: int64, or exact ints when one of
-    them (for weights in a file, any fan-in integer) reaches 2**62.  Gate
-    objects are a view, built on first use.
+    a gate's fields.  Rows keep the order the gates came in; ids are looked
+    up once, where they come in (here and in read_circuit).  Ids, biases and
+    weights follow the _column rule: int64, or exact ints when one of them
+    (for weights in a file, any fan-in integer) reaches 2**62.  Gate objects
+    are a view, built on first use.
     """
 
     def __init__(self, gates: Iterable[Gate], inputs: Sequence[int], output: int):
         gates = list(gates)
         edges = list(chain.from_iterable(g.fan_in for g in gates))
         sources, weights = _column([s for s, _ in edges]), _column([w for _, w in edges])
-        self._build(
-            [g.gid for g in gates], [_CODE[g.kind] for g in gates], [g.bias for g in gates],
-            [len(g.fan_in) for g in gates], sources, weights, inputs, output,
-        )
+        code, counts = np.int8([_CODE[g.kind] for g in gates]), [len(g.fan_in) for g in gates]
+        rows = _id_rows([g.gid for g in gates], code, counts, sources, inputs, output)
+        self._build(code, [g.bias for g in gates], counts, weights, *rows)
         self._batches  # a cycle raises here
 
-    def _build(self, gids, codes, biases, counts, sources, weights, inputs, output) -> None:
-        """Check the ids, inputs, output and sources of gates whose own fields
-        are checked, then store the columns.  gids, kind codes, biases and
-        fan-in counts come one per gate; the sources (by gid) and weights
-        columns list the fan-in edges gate by gate."""
-        keys = _column(gids)
-        gids = keys.tolist()
-        row: dict[int, int] = {}
-        for r, gid in enumerate(gids):
-            if gid in row:
-                raise ValueError(f"duplicate gate id {gid}")
-            row[gid] = r
-        code = np.asarray(codes, dtype=np.int8)
-        inputs = tuple(inputs)
-        # Row -1, past the last, stands for an id that is no gate.
-        ins = np.fromiter(map(row.get, inputs, repeat(-1)), dtype=np.int64, count=len(inputs))
-        unlisted = np.concatenate([code == _CODE[INPUT], [False]])
-        for gid in compress(inputs, ~unlisted[ins]):  # the first raises
-            raise ValueError(f"input id {gid} is not an INPUT gate")
-        if len(set(inputs)) != len(inputs):
-            raise ValueError("input ids must not repeat")
-        unlisted[ins] = False
-        if unlisted.any():
-            raise ValueError(f"INPUT gate {gids[unlisted.argmax()]} is missing from the input list")
-        if output not in row:
-            raise ValueError(f"output id {output} does not exist")
-        indptr = np.zeros(len(gids) + 1, dtype=np.int64)
-        np.asarray(counts, dtype=np.int64).cumsum(out=indptr[1:])
-        # Map each source gid to its row through the rows sorted by gid.
-        if keys.dtype != sources.dtype:
-            keys, sources = keys.astype(object), sources.astype(object)
-        by_gid = keys.argsort(kind="stable")
-        ordered = keys[by_gid]
+    def _build(self, codes, biases, counts, weights, keys, src, ins, out) -> None:
+        """Store checked columns; the sources, inputs and output come as rows."""
+        self._indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.asarray(counts, dtype=np.int64).cumsum(out=self._indptr[1:])
+        self._keys, self._code, self._bias = keys, np.asarray(codes, dtype=np.int8), _column(biases)
         # Rows fit the smallest signed int type: a small source column.
-        by_gid = by_gid.astype(np.min_scalar_type(-len(gids)))
-        runs = [by_gid[:0]]
-        for lo in range(0, sources.size, _RUN_EDGES):
-            run = sources[lo : lo + _RUN_EDGES]
-            at = ordered.searchsorted(run)
-            if (ordered.take(at, mode="clip") != run).any():
-                edge = lo + int((ordered.take(at, mode="clip") != run).argmax())
-                gid = gids[int(indptr.searchsorted(edge, side="right")) - 1]
-                raise ValueError(f"gate {gid} references missing source {sources[edge]}")
-            runs.append(by_gid[at])
-        self._keys, self._code, self._bias = keys, code, _column(biases)
-        self._indptr, self._src, self._weights = indptr, np.concatenate(runs), weights
-        self._by_gid, self._in, self._out = by_gid, ins, row[output]
+        self._src = src.astype(np.min_scalar_type(-keys.size), copy=False)
+        self._weights, self._in, self._out = weights, ins, out
+
+    @cached_property
+    def _by_gid(self) -> np.ndarray:
+        """The rows sorted by gid."""
+        return self._keys.argsort()
 
     @cached_property
     def _gate_map(self) -> dict[int, Gate]:
@@ -442,7 +447,7 @@ def _stream_check(c: ThresholdCircuit, coef: Sequence[int], test):
     feeds = [pairs[a:b] for a, b in zip(cuts, cuts[1:])]
     # Per row: a table and a value array per form, and the reference test;
     # an object entry is a pointer plus an int of up to 128 bits.
-    row_bytes = (dtype.itemsize if fits else 8 + sys.getsizeof(_LIMIT)) * (2 * len(forms) + 1)
+    row_bytes = (dtype.itemsize if fits else 8 + _EXACT_INT_BYTES) * (2 * len(forms) + 1)
     bits = min(k, _MAX_CHUNK_BITS)
     while bits and row_bytes << bits > _CHUNK_BYTES:
         bits -= 1
@@ -508,65 +513,57 @@ def _difference_layer(
     """Fan-in columns of one gate per entry of rows: row rows[g] of A, restricted
     to columns start[g].. (start broadcasts against the columns), on x minus y.
 
-    Returns the sources by gid, the weights and the per-gate counts.  The
-    gates' masks side by side, x then y, list each gate's x pairs, then its
-    y pairs, by column.
+    Returns the sources by row (x_j and y_j are rows j and n + j), the
+    weights and the per-gate counts.  The gates' masks side by side, x then
+    y, list each gate's x pairs, then its y pairs, by column.
     """
     mask = np.tile((a.array != 0)[rows] & (np.arange(a.n) >= start), 2)
     col, counts = np.flatnonzero(mask) % (2 * a.n), mask.sum(axis=1)
     weights = np.concatenate([a.array, -a.array], axis=1)[rows.repeat(counts), col]
-    col += 1  # x_j and y_j are gates j + 1 and n + j + 1
     return col, weights, counts
 
 
 def _depth_two(
-    k: int,
-    sources: np.ndarray,
-    weights: np.ndarray,
-    counts: np.ndarray,
-    biases: list[int],
-    top_kind: str,
-    top_weight: int,
-    top_bias: int,
+    k: int, sources: np.ndarray, weights: np.ndarray, counts: np.ndarray, biases: list[int],
+    top_kind: str, top_weight: int, top_bias: int,
 ) -> ThresholdCircuit:
     """Inputs 1..k, one EXACT gate per bias in biases, then the top gate.
 
-    The layer's fan-in comes as CSR columns: sources by gid, weights and
-    per-gate counts, each weight and bias already inside the budget.  The
-    circuit is acyclic by construction, so its order is built on first use.
+    Gate id r + 1 is row r.  The layer's fan-in comes as CSR columns:
+    sources by row, weights and per-gate counts, each weight and bias
+    already inside the budget.  The circuit is acyclic by construction, so
+    its order is built on first use.
     """
     g = len(biases)
-    top = k + g + 1
+    top = k + g  # the top gate's row
     c = ThresholdCircuit.__new__(ThresholdCircuit)
     c._build(
-        np.arange(1, top + 1),
         np.repeat(np.int8([_CODE[INPUT], _CODE[EXACT], _CODE[top_kind]]), [k, g, 1]),
         [0] * k + biases + [top_bias],
         np.concatenate([np.zeros(k, dtype=np.int64), counts, [g]]),
-        np.concatenate([sources, np.arange(k + 1, top)]),
         np.concatenate([weights, np.full(g, top_weight)]),
-        range(1, k + 1),
+        np.arange(1, top + 2),
+        np.concatenate([sources, np.arange(k, top)]),
+        np.arange(k),
         top,
     )
     return c
 
 
-def compile_value_set(
-    weights: Sequence[int], values: Iterable[int]
-) -> ThresholdCircuit:
+def compile_value_set(weights: Sequence[int], values: Iterable[int]) -> ThresholdCircuit:
     """Depth-2 circuit for 1{weights . x in values}: one EXACT gate per value, OR on top."""
     weights = [int(w) for w in weights]
     accepted = sorted(set(int(s) for s in values))
     n = len(weights)
     if n < 1:
         raise ValueError("at least one weight is required")
-    _check_weights(weights)
+    _check_budget(weights)
     if not accepted:
         warnings.warn("empty accepted set; emitting a constant-0 circuit")
-    _check_weights(accepted)
+    _check_budget(accepted)
     column = _column(weights)
     fan, g = np.flatnonzero(column), len(accepted)
-    layer = np.tile(fan + 1, g), np.tile(column[fan], g), np.full(g, fan.size)
+    layer = np.tile(fan, g), np.tile(column[fan], g), np.full(g, fan.size)
     return _depth_two(n, *layer, accepted, LT, 1, 1)
 
 
@@ -636,8 +633,7 @@ def exactify_to_lt(c: ThresholdCircuit) -> ThresholdCircuit:
     shift = np.diff(np.concatenate([[0], shift]).cumsum()[cuts])
     bias = bias + np.where(code == _CODE[SUM], -shift, shift)
     if bias.dtype == object:  # the first bias out of budget in topological order raises
-        for b in bias[order][np.abs(bias[order]) >= _LIMIT]:
-            checked(b)
+        _check_budget(bias[order])
     # The rows in topological order, each EXACT row followed by its twin.
     rows = order.repeat(exact[order] + 1)
     twin = np.zeros(rows.size, dtype=bool)
@@ -658,15 +654,14 @@ def exactify_to_lt(c: ThresholdCircuit) -> ThresholdCircuit:
     weights[twin.repeat(counts)] *= -1
     sources = at[c._src[edges]]
     sources[copies + np.arange(1, copies.size + 1)] += 1  # a copy reads the second half
-    sources = keys[sources]
-    codes, output = np.where(exact, _CODE[LT], code)[rows], c.output
+    codes, out = np.where(exact, _CODE[LT], code)[rows], int(at[c._out])
     if exact[c._out]:
-        sources = np.concatenate([sources, keys[[at[c._out], at[c._out] + 1]]])
+        sources = np.concatenate([sources, [out, out + 1]])
         keys, codes = np.concatenate([keys, [first + twins]]), np.concatenate([codes, [_CODE[SUM]]])
         biases, counts = np.concatenate([biases, [-1]]), np.concatenate([counts, [2]])
-        weights, output = np.concatenate([weights, [1, 1]]), first + twins
-    lt = ThresholdCircuit.__new__(ThresholdCircuit)  # acyclic, as c is
-    lt._build(keys, codes, biases, counts, sources, weights, c.inputs, output)
+        weights, out = np.concatenate([weights, [1, 1]]), rows.size
+    lt = ThresholdCircuit.__new__(ThresholdCircuit)  # acyclic, as c is; ids may reach 2**62
+    lt._build(codes, biases, counts, weights, _column(keys), sources, at[c._in], out)
     return lt
 
 
@@ -729,8 +724,9 @@ def read_circuit(text: str) -> ThresholdCircuit:
         gids, codes, biases, counts, nums = _read_gates(_gate_lines(text)[2:])
     sources, weights = nums[0::2].copy(), nums[1::2].copy()
     del nums
+    rows = _id_rows(gids, codes, counts, sources, inputs, output)
     c = ThresholdCircuit.__new__(ThresholdCircuit)
-    c._build(gids, codes, biases, counts, sources, weights, inputs, output)
+    c._build(codes, biases, counts, weights, *rows)
     c._batches  # a cycle raises here
     return c
 
@@ -759,7 +755,7 @@ def _read_gates(lines: list[str]) -> tuple[list, list, list, list, np.ndarray]:
         except ValueError:
             raise CircuitFormatError(f"malformed gate line {line!r}") from None
         _check_kind(kind, bool(tokens))
-        _check_weights(nums[1::2])
+        _check_budget(nums[1::2])
         gids.append(gid)
         codes.append(_CODE[kind])
         biases.append(checked(bias))

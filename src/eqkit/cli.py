@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .circuit import (
-    CircuitFormatError,
     compile_comp_circuit,
     compile_eq_circuit,
     compile_value_set,
@@ -32,12 +31,7 @@ from .construct import (
     construction_trace,
 )
 from .decode import NotInImageError, decode, encode
-from .matrix import (
-    MagnitudeError,
-    MatrixFormatError,
-    read_matrix,
-    write_matrix,
-)
+from .matrix import MagnitudeError, read_matrix, write_matrix
 from .search import search_rmds
 from .verify import (
     CapExceededError,
@@ -199,6 +193,10 @@ def _parser() -> argparse.ArgumentParser:
 def _run_construct(args) -> int:
     # The matrix's entries are charged against the cap before any is built.
     if args.family == "crt":
+        if not args.primes:
+            # The k-th odd prime lies below (k+1)^2: n bits take n / (2 log2(n+1)) or more.
+            n = max(args.n, 0)
+            _check_cap(n * n // (2 * (n + 1).bit_length()), args.cap)
         primes = tuple(args.primes) if args.primes else choose_primes(args.n)
         _check_cap(len(primes) * args.n, args.cap)
         _emit(write_matrix(build_crt(args.n, primes)), args.out)
@@ -355,14 +353,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return _HANDLERS[args.command](args)
-    except (
-        ValueError,
-        MatrixFormatError,
-        CircuitFormatError,
-        CapExceededError,
-        MagnitudeError,
-        OSError,
-    ) as exc:
+    # MatrixFormatError and CircuitFormatError are ValueErrors.
+    except (ValueError, CapExceededError, MagnitudeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

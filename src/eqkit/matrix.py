@@ -23,6 +23,8 @@ _LIMIT = 1 << MAGNITUDE_BITS
 _INT64_SAFE = 1 << 62
 # Byte ceiling for the temporaries of one chunk of a vectorized path.
 _CHUNK_BYTES = 32 << 20
+# Bytes of an exact int of up to 128 bits: sys.getsizeof(1 << 127) on CPython.
+_EXACT_INT_BYTES = 44
 
 
 class MagnitudeError(ArithmeticError):
@@ -38,6 +40,16 @@ def checked(value: int) -> int:
     if value >= _LIMIT or value <= -_LIMIT:
         raise MagnitudeError(f"|{value}| exceeds the 2^{MAGNITUDE_BITS} budget")
     return value
+
+
+def _check_budget(values, bound: Optional[int] = None) -> None:
+    """Raise MagnitudeError at the first of values (a list, or an array in row-major
+    order) out of budget; bound is max |v| if known, else values is a list or 1-D array."""
+    if bound is None:
+        bound = max(max(values, default=0), -min(values, default=0))
+    if bound >= _LIMIT:
+        for v in getattr(values, "flat", values):
+            checked(v)
 
 
 def _checked_sum(terms: Iterable[int], bound: int) -> int:
@@ -90,9 +102,7 @@ class IntMatrix:
         if array.ndim != 2 or not array.size:
             raise ValueError("matrix needs at least one row and one column")
         bound = int(max(array.max(), -array.min()))
-        if bound >= _LIMIT:  # int64 entries lie below 2^62, so only exact ints get here
-            for v in array.flat:  # name the first entry out of budget
-                checked(v)
+        _check_budget(array, bound)
         array.flags.writeable = False
         object.__setattr__(self, "array", array)
         object.__setattr__(self, "weight_bound", bound)

@@ -36,6 +36,7 @@ import numpy as np
 
 from .matrix import (
     _CHUNK_BYTES,
+    _EXACT_INT_BYTES,
     _INT64_SAFE,
     AlphabetSpec,
     Counterexample,
@@ -194,7 +195,7 @@ def _kernel_search(a: IntMatrix, q: int, collision: bool = False) -> Optional[Co
     # Bytes per table row: its key, sorted key, rank and sort index; per chunk
     # row: its head key, target, search index, found key and head rank, and a
     # hit flag.  A key or rank past int64 adds a 128-bit Python int.
-    key_int, rank_int = 44 * (coef.dtype == object), 44 * (dtype is object)
+    key_int, rank_int = (_EXACT_INT_BYTES * (t == object) for t in (coef.dtype, dtype))
     table_row, chunk_row = 32 + key_int + rank_int, 41 + 2 * key_int + rank_int
     low = (n + 1) // 2
     while low and base**low * table_row + chunk_row > _CHUNK_BYTES:
@@ -354,7 +355,7 @@ def _vector_bytes(rows: int, fits: bool) -> int:
     zero flags and a negated copy, and on the object path a Python int of
     up to 128 bits per sum.
     """
-    return 24 + rows * (11 if fits else 11 + 44)
+    return 24 + rows * (11 if fits else 11 + _EXACT_INT_BYTES)
 
 
 def _zero_pattern_block(a: IntMatrix, m: int, q: int) -> Optional[tuple[int, ...]]:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import COMP_SEARCH
+from conftest import COMP_SEARCH, FIXTURES
 from eqkit import (
     CapExceededError,
     Gate,
@@ -728,6 +728,79 @@ def test_read_circuit_matches_the_reference_reader():
     assert outcomes["evaluated"] > 1500
     assert outcomes["rejected"] > 800
     assert outcomes["raised"] > 50
+
+
+def _id_faults(text, rng):
+    """text with two more faults among its ids, of one kind or two: one or two
+    repeated gate ids, an input left out, an input named twice or naming a
+    gate that is no INPUT gate or no gate, a missing output, a gate with a
+    missing source.  A missing id is 99, or a header id or source of 2**63
+    or more."""
+    lines = text.splitlines()
+    inputs, output, gates = lines[0].split()[1:], lines[1].split()[1], lines[2:]
+    ids = [line.split()[0] for line in gates]
+    big = str(rng.choice((1, -1)) * ((1 << rng.choice((63, 64, 127))) + rng.randrange(3)))
+
+    def insert(into, item):
+        into.insert(rng.randrange(len(into) + 1), item)
+
+    for fault in rng.choices(range(5), k=2):
+        if fault == 0:
+            for _ in range(rng.randint(1, 2)):
+                insert(gates, rng.choice(gates))
+        elif fault == 1 and inputs:
+            del inputs[rng.randrange(len(inputs))]
+        elif fault == 2:
+            insert(inputs, rng.choice(inputs + ids + [big, "99"]))
+        elif fault == 3:
+            output = rng.choice((big, "99"))
+        else:
+            insert(gates, f"{90 + len(gates)} LT 0 {rng.choice((big, '99'))}:1")
+    return "\n".join(["inputs " + " ".join(inputs), f"output {output}", *gates]) + "\n"
+
+
+def test_read_circuit_names_the_first_of_several_id_faults():
+    # Files with two or three faults among the ids, header ids past int64 on
+    # an int64 id column among them, name the fault the reference reader
+    # names first, by both tokenizing routes.
+    rng = random.Random(24)
+    named = collections.Counter()
+    for seed in range(1500):
+        text = _id_faults(_random_circuit_text(rng), rng)
+        outcome = _against_reader(text, seed)
+        assert _against_reader(_unplain(text, rng), seed) == outcome
+        try:
+            read_gates(text)
+        except CircuitTextError as exc:
+            named[re.sub(r"-?[0-9]+", "N", str(exc))] += 1
+    for message in [
+        "duplicate gate id N",
+        "input id N is not an INPUT gate",
+        "input ids must not repeat",
+        "INPUT gate N is missing from the input list",
+        "output id N does not exist",
+        "gate N references missing source N",
+    ]:
+        assert named[message] > 40, named
+
+
+def test_compilers_and_exactify_hand_rows_to_the_columns(monkeypatch):
+    # Ids are looked up only where they come in: built in eqkit, the
+    # circuits and their LT rewrites never pass through the id lookup.
+    def refuse(*args):
+        raise AssertionError("gate ids were looked up")
+
+    monkeypatch.setattr(circuit_module, "_id_rows", refuse)
+    eq_k2 = read_matrix((FIXTURES / "eq_k2.txt").read_text())[0]
+    rmds_n3 = read_matrix((FIXTURES / "rmds_n3.txt").read_text())[0]
+    compiled = {
+        "eq_k2": compile_eq_circuit(eq_k2),
+        "comp_n3": compile_comp_circuit(rmds_n3, 3, 2, 3),
+        "valueset": compile_value_set([3, -1, 2, 0], [0, 2]),
+    }
+    for name, c in compiled.items():
+        assert write_circuit(c) == (FIXTURES / f"{name}.circ").read_text()
+        assert write_circuit(exactify_to_lt(c)) == (FIXTURES / f"{name}_lt.circ").read_text()
 
 
 _TRAP_HEAD = "inputs 1 2\noutput 3\n1 INPUT 0\n2 INPUT 0\n"

@@ -1,5 +1,7 @@
 import hashlib
+import os
 import random
+import subprocess
 import sys
 
 import pytest
@@ -11,6 +13,7 @@ from eqkit import (
     IntMatrix,
     MagnitudeError,
     ThresholdCircuit,
+    choose_primes,
     cli,
     construct,
     construct_eq,
@@ -142,6 +145,29 @@ def test_construct_crt_charges_its_size_against_the_cap(capsys, monkeypatch):
         "",
         "error: enumeration needs 32 elementary steps, cap allows 31\n",
     )
+
+
+def test_construct_crt_charges_a_bound_before_the_prime_search():
+    # n = 10**17 takes more than 10**15 primes, a search that would not end:
+    # a lower bound on the entry count is refused before it starts.
+    src = str(FIXTURES.parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-m", "eqkit.cli", "construct", "crt", "--n", str(10**17)]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=30, env=env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: enumeration needs 87719298245614035087719298245614 elementary steps, "
+        "cap allows 100000000\n"
+    )
+
+
+def test_construct_crt_bound_never_refuses_what_the_count_allows(monkeypatch):
+    # At a cap of exactly the entry count, the bound charged before the
+    # search lets every n through to the build.
+    monkeypatch.setattr(cli, "build_crt", _refuse_to_build)
+    for n in range(1, 400):
+        with pytest.raises(AssertionError, match="was built"):
+            main(["--cap", str(len(choose_primes(n)) * n), "construct", "crt", "--n", str(n)])
 
 
 @pytest.mark.skipif(
