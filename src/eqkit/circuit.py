@@ -13,6 +13,7 @@ EXACT gates on the longest input-to-output path; SUM gates are wiring.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,6 +32,10 @@ EXACT = "EXACT"
 SUM = "SUM"
 _KINDS = (INPUT, LT, EXACT, SUM)
 _CODE = {kind: code for code, kind in enumerate(_KINDS)}
+# The code of each kind by whether its gate line has fan-in text: an INPUT
+# gate has none.
+_FANNED_CODE = {(kind, False): code for kind, code in _CODE.items()}
+_FANNED_CODE.update({(kind, True): code for kind, code in _CODE.items() if kind != INPUT})
 
 # exhaustive_check streams chunks of at most 2**_MAX_CHUNK_BITS assignments,
 # fewer when a chunk's tables and gate arrays would pass _CHUNK_BYTES.
@@ -59,11 +64,21 @@ class Gate:
     bias: int = 0
 
     def __post_init__(self) -> None:
-        fan = tuple((int(src), int(w)) for src, w in self.fan_in)
+        gid = _integer("id", self.gid)
+        fan = tuple((_integer("source", src), _integer("weight", w)) for src, w in self.fan_in)
         _check_kind(self.kind, bool(fan))
         _check_budget([w for _, w in fan])
+        object.__setattr__(self, "gid", gid)
         object.__setattr__(self, "fan_in", fan)
-        object.__setattr__(self, "bias", checked(int(self.bias)))
+        object.__setattr__(self, "bias", checked(_integer("bias", self.bias)))
+
+
+def _integer(field: str, value) -> int:
+    """value as a Python int, if it is an integer (numpy's too); else ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"gate {field} {value!r} is not an integer") from None
 
 
 def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -81,11 +96,15 @@ def _kahn(indptr: np.ndarray, src: np.ndarray, keys: np.ndarray) -> list[np.ndar
     dequeued row frees the consumers whose last source it was, by gid.  So
     a freed row sorts by (position of its last source, gid), and a whole
     level is ordered in one step, with no Python step per edge.  Each level
-    scans the source column once, so a deep circuit costs a pass per level.
+    scans, in runs, only the edges still waiting, and drops the ones it
+    consumes; a depth-2 circuit scans its edges once.  A deep circuit still
+    takes a round of numpy calls per level.
     """
     size = indptr.size - 1
-    waiting = indptr[1:] - indptr[:-1]
-    dst = np.arange(size, dtype=src.dtype).repeat(waiting)
+    waiting = indptr[1:] - indptr[:-1]  # then -1 once placed
+    # The source and consumer rows of the edges still waiting, compacted in
+    # place after each level.
+    src, dst = src.copy(), np.arange(size, dtype=src.dtype).repeat(waiting)
     batch = (waiting == 0).nonzero()[0]
     batch = batch[keys[batch].argsort()]
     pos = np.full(size, -1)  # -1 until placed
@@ -94,17 +113,25 @@ def _kahn(indptr: np.ndarray, src: np.ndarray, keys: np.ndarray) -> list[np.ndar
     while batch.size:
         levels.append(batch)
         start, done = done, done + batch.size
-        pos[batch] = np.arange(start, done)
+        pos[batch], waiting[batch] = np.arange(start, done), -1
         if done == size:
             break
+        kept = 0  # each run's waiting edges move down to src[kept:], dst[kept:]
         for lo in range(0, src.size, _RUN_EDGES):
-            at = pos[src[lo : lo + _RUN_EDGES]]
-            edges = (at >= start).nonzero()[0]  # the run's edges out of this batch
-            freeing = dst[lo : lo + _RUN_EDGES][edges]
+            run_src, run_dst = src[lo : lo + _RUN_EDGES], dst[lo : lo + _RUN_EDGES]
+            at = pos.take(run_src)
+            placed = at >= 0  # the run's edges out of this batch: earlier ones were dropped
+            freeing = run_dst[placed]
             waiting -= np.bincount(freeing, minlength=size)
-            np.maximum.at(last, freeing, at[edges])
-        batch = ((waiting == 0) & (pos < 0)).nonzero()[0]
-        batch = batch[np.lexsort((keys[batch], last[batch]))]
+            np.maximum.at(last, freeing, at[placed])
+            keep = ~placed
+            run_src, run_dst = run_src[keep], run_dst[keep]
+            src[kept : kept + run_src.size], dst[kept : kept + run_dst.size] = run_src, run_dst
+            kept += run_src.size
+        src, dst = src[:kept], dst[:kept]
+        batch = (waiting == 0).nonzero()[0]
+        if batch.size > 1:
+            batch = batch[np.lexsort((keys[batch], last[batch]))]
     if done < size:
         raise ValueError("circuit contains a cycle")
     return levels
@@ -116,6 +143,20 @@ def _apply(code: np.ndarray, acc: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return np.where(code == _CODE[SUM], acc + bias, fired)
 
 
+def _id_table(ordered: np.ndarray, by_gid: np.ndarray, limit: int) -> Optional[np.ndarray]:
+    """The rows by id - min + 1 between two slots of -1, which an id below or
+    above every gate id clips to; None unless the sorted ids are int64 and
+    span at most limit values."""
+    if ordered.dtype == object:
+        return None
+    span = int(ordered[-1]) - int(ordered[0]) + 1
+    if span > limit:
+        return None
+    table = np.full(span + 2, -1, dtype=by_gid.dtype)
+    table[ordered - (ordered[0] - 1)] = by_gid
+    return table
+
+
 def _id_rows(gids, code, counts, sources, inputs, output):
     """Check the ids of gates whose own fields are checked, and look them up.
 
@@ -123,8 +164,12 @@ def _id_rows(gids, code, counts, sources, inputs, output):
     that repeats an earlier one), an input that is no INPUT gate, repeated
     inputs, an INPUT gate missing from the input list, a missing output, a
     missing source (at the first edge).  One stable argsort of the ids
-    serves every lookup.  Returns the id column (exact ints when the sources
-    are), then the source rows, the input rows and the output row.
+    finds repeats and serves every lookup.  Sources are looked up in runs:
+    through a table of rows indexed by id - min when the ids are int64 and
+    dense (their span at most the gates plus edges, so the table is no
+    larger than the columns), else by searchsorted on the sorted ids.
+    Returns the id column (exact ints when the sources are), then the
+    source rows, the input rows and the output row.
     """
     keys = _column(gids)
     if keys.dtype != sources.dtype:
@@ -150,15 +195,21 @@ def _id_rows(gids, code, counts, sources, inputs, output):
         raise ValueError(f"INPUT gate {keys[unlisted.argmax()]} is missing from the input list")
     if out < 0:
         raise ValueError(f"output id {output} does not exist")
+    table = _id_table(ordered, by_gid, keys.size + sources.size)
     runs = [by_gid[:0]]
     for lo in range(0, sources.size, _RUN_EDGES):
         run = sources[lo : lo + _RUN_EDGES]
-        at = ordered.searchsorted(run)
-        if (ordered.take(at, mode="clip") != run).any():
-            edge = lo + int((ordered.take(at, mode="clip") != run).argmax())
+        if table is None:
+            at = ordered.searchsorted(run)
+            rows, missing = by_gid.take(at, mode="clip"), ordered.take(at, mode="clip") != run
+        else:
+            rows = table.take(run - (ordered[0] - 1), mode="clip")
+            missing = rows < 0
+        if missing.any():
+            edge = lo + int(missing.argmax())
             gid = keys[np.cumsum(counts).searchsorted(edge, side="right")]
             raise ValueError(f"gate {gid} references missing source {sources[edge]}")
-        runs.append(by_gid[at])
+        runs.append(rows)
     return keys, np.concatenate(runs), ins, out
 
 
@@ -322,10 +373,11 @@ def eval_circuit(
             acc = _checked_sum(terms, sum(map(abs, terms)))
             if code[row] == _CODE[SUM]:
                 checked(acc + int(bias[row]))
+    value = int(values[c._out])
+    if not want_trace:
+        return value
     rows = np.concatenate([c._in, c._ordered_rows])
-    trace = dict(zip(c._keys[rows].tolist(), values[rows].tolist()))
-    result = trace[c.output]
-    return (result, trace) if want_trace else result
+    return value, dict(zip(c._keys[rows].tolist(), values[rows].tolist()))
 
 
 def _reference_form(reference, n_inputs, n, weights, values):
@@ -697,28 +749,25 @@ def read_circuit(text: str) -> ThresholdCircuit:
     """
     lines = _gate_lines(text)
     try:
-        inputs = tuple(int(t) for t in lines[0].split()[1:])
+        inputs = tuple(map(int, lines[0].split()[1:]))
         _, output = lines[1].split()
         output = int(output)
     except ValueError:
         raise CircuitFormatError("malformed header") from None
-    gids, codes, biases, counts, fans = [], [], [], [], []
+    fields = [line.split(None, 3) for line in lines[2:]]
+    del lines  # the plain route needs no line text
     try:
-        for line in lines[2:]:
-            gid, kind, bias, *fan = line.split(None, 3)
-            count = fan[0].count(":") if fan else 0
-            _check_kind(kind, count > 0)
-            gids.append(int(gid))
-            codes.append(_CODE[kind])
-            biases.append(checked(int(bias)))
-            counts.append(count)
-            fans += fan
-    except (ValueError, MagnitudeError):  # the int() route names the first fault
-        nums = None
-    else:
-        del lines  # the plain route needs no line text
-        fans = " ".join(fans).encode("ascii", "replace")
-        nums = _plain_numbers(fans, 2 * sum(counts), pairs=True)
+        gids = [int(f[0]) for f in fields]
+        codes = [_FANNED_CODE[f[1], len(f) > 3] for f in fields]
+        biases = [int(f[2]) for f in fields]
+        _check_budget(biases)
+        counts = [f[3].count(":") if len(f) > 3 else 0 for f in fields]
+        fans = " ".join([f[3] for f in fields if len(f) > 3]).encode("ascii", "replace")
+    # The int() route names the first fault, in line order.
+    except (ValueError, MagnitudeError, KeyError, IndexError):
+        fans = None
+    del fields
+    nums = None if fans is None else _plain_numbers(fans, 2 * sum(counts), pairs=True)
     del fans
     if nums is None:
         gids, codes, biases, counts, nums = _read_gates(_gate_lines(text)[2:])
@@ -733,7 +782,7 @@ def read_circuit(text: str) -> ThresholdCircuit:
 
 def _gate_lines(text: str) -> list[str]:
     """The non-blank lines of a circuit file, after checking its two headers."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in text.splitlines() if ln and not ln.isspace()]
     if len(lines) < 3 or not lines[0].startswith("inputs ") or not lines[1].startswith(
         "output "
     ):

@@ -322,8 +322,9 @@ def _run_circuit(args) -> int:
     else:
         c = read_circuit(Path(args.file).read_text())
         if args.action == "eval":
-            value, values = eval_circuit(c, _parse_vector(args.input), want_trace=True)
+            value = eval_circuit(c, _parse_vector(args.input), want_trace=args.trace)
             if args.trace:
+                value, values = value
                 sys.stdout.write(format_trace(values))
             print(value)
             return 0

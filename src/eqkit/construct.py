@@ -9,7 +9,7 @@ recursion
     [ ...          0 ]
 
 build_crt fills row i with the residues of ascending powers of two modulo
-the i-th prime.
+the i-th prime, doubling blocks of columns.
 """
 
 from __future__ import annotations
@@ -113,7 +113,21 @@ def build_crt(n: int, primes: Iterable[int]) -> IntMatrix:
             f"prime product {product} does not exceed 2^{n} = {2**n}; "
             "the residue matrix would not separate all values"
         )
-    return IntMatrix.from_rows([[pow(2, j, p) for j in range(n)] for p in plist])
+    # The first 62 columns reduce exact int64 powers of two.  After that,
+    # column j + w is column j times 2**w mod p (twice column w - 1), so the
+    # columns double in blocks.  Products of two residues stay below
+    # max(p)**2: int64 below 2**63, exact ints past that.
+    dtype = np.int64 if plist[-1] ** 2 < 1 << 63 else object
+    p = np.array(plist, dtype=dtype)[:, None]
+    rows, w = np.empty((len(plist), n), dtype=dtype), min(n, 62)
+    rows[:, :w] = np.left_shift(1, np.arange(w)) % p
+    while w < n:
+        block = rows[:, w : 2 * w]
+        np.multiply(rows[:, : block.shape[1]], 2 * rows[:, w - 1 : w] % p, out=block)
+        np.remainder(block, p, out=block)
+        w *= 2
+    rows.flags.writeable = False  # IntMatrix keeps a read-only array, not a copy
+    return IntMatrix(rows)
 
 
 def choose_primes(n: int, count: Optional[int] = None) -> tuple[int, ...]:

@@ -156,6 +156,21 @@ def test_gate_validation():
         Gate(1, "NAND")
     with pytest.raises(ValueError):
         Gate(1, "INPUT", ((2, 1),))
+    # Every integer field takes integers only; a float or a digit string is
+    # refused by name instead of being truncated.
+    for args, message in [
+        ((1.5, "INPUT"), "gate id 1.5 is not an integer"),
+        (("5", "INPUT"), "gate id '5' is not an integer"),
+        ((3, "LT", ((1.9, 2),)), "gate source 1.9 is not an integer"),
+        ((3, "LT", ((1, 2.7),)), "gate weight 2.7 is not an integer"),
+        ((3, "LT", ((1, 2),), 0.5), "gate bias 0.5 is not an integer"),
+        ((3, "LT", ((1, "2"),)), "gate weight '2' is not an integer"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Gate(*args)
+    gate = Gate(np.int64(3), "LT", ((np.int32(1), np.int8(-2)),), np.uint8(4))
+    assert gate == Gate(3, "LT", ((1, -2),), 4)
+    assert all(type(v) is int for v in (gate.gid, *gate.fan_in[0], gate.bias))
 
 
 def test_circuit_validation():
@@ -623,9 +638,12 @@ def test_eval_circuit_matches_the_checked_oracle():
 
 def _random_circuit_text(rng):
     """A random circuit file: gate lines in any order, repeated edges, weights
-    up to 2**126, and in about a third of the files one fault."""
+    up to 2**126, and in about two files of five one fault.  In half the
+    files the ids are dense, as in the files eqkit writes; in the rest they
+    are spread over 43 values."""
     k = rng.randint(1, 4)
-    ids = rng.sample(range(-3, 40), k + rng.randint(0, 8))
+    size = k + rng.randint(0, 8)
+    ids = rng.sample(range(-3, -3 + rng.choice((size + rng.randint(0, 2), 43))), size)
     lines = [f"{gid} INPUT 0" for gid in ids[:k]]
     for t, gid in enumerate(ids[k:], k):
         fan = [(rng.choice(ids[:t]), rng.randint(-4, 4)) for _ in range(rng.randint(0, 5))]
@@ -638,8 +656,8 @@ def _random_circuit_text(rng):
         lines.append(line)
     inputs, output = ids[:k], rng.choice(ids)
     fault = rng.randrange(24)
-    if fault == 0:
-        lines.append(f"{max(ids) + 1} LT 0 {max(ids) + 2}:1")
+    if fault in (0, 9):  # a missing source past the largest id or below the smallest
+        lines.append(f"{max(ids) + 1} LT 0 {max(ids) + 2 if fault == 0 else min(ids) - 1}:1")
     elif fault == 1 and len(ids) > k + 1:
         a, b = ids[k], ids[-1]  # b may read a; now a reads b too
         lines.append(f"{max(ids) + 1} SUM 0 {a}:1")
@@ -686,6 +704,21 @@ def _unplain(text, rng):
     return "\n".join(lines)
 
 
+@contextlib.contextmanager
+def _id_routes():
+    """Yield a list that gets, per source lookup, the route _id_rows took:
+    "table" through the dense id table, "search" by searchsorted."""
+    routes, table = [], circuit_module._id_table
+
+    def spy(*args):
+        found = table(*args)
+        routes.append("search" if found is None else "table")
+        return found
+
+    with mock.patch.object(circuit_module, "_id_table", spy):
+        yield routes
+
+
 def _against_reader(text, seed):
     """read_circuit against the reference reader, and one seeded evaluation."""
     try:
@@ -715,19 +748,29 @@ def test_read_circuit_matches_the_reference_reader():
     # Both tokenizing routes against a reader of its own: plain files go
     # through np.fromstring, and the same files with some lines in +3, 0_1,
     # 19-digit or Arabic-Indic forms, or NBSP-separated, through int().
+    # Files whose sources are looked up take the dense id table or
+    # searchsorted, each a few hundred times, rejected files among them.
     rng = random.Random(14)
     outcomes = {"rejected": 0, "raised": 0, "evaluated": 0}
-    for seed in range(3000):
-        plain = _random_circuit_text(rng)
-        unplain = _unplain(plain, rng)
-        outcome = _against_reader(plain, seed)
-        assert _against_reader(unplain, seed) == outcome
-        if outcome != "rejected":
-            assert write_circuit(read_circuit(unplain)) == write_circuit(read_circuit(plain))
-        outcomes[outcome] += 1
+    taken = collections.Counter()
+    with _id_routes() as routes:
+        for seed in range(3000):
+            plain = _random_circuit_text(rng)
+            unplain = _unplain(plain, rng)
+            routes.clear()
+            outcome = _against_reader(plain, seed)
+            for route in routes[:1]:
+                taken[route] += 1
+                taken[route, outcome == "rejected"] += 1
+            assert _against_reader(unplain, seed) == outcome
+            if outcome != "rejected":
+                assert write_circuit(read_circuit(unplain)) == write_circuit(read_circuit(plain))
+            outcomes[outcome] += 1
     assert outcomes["evaluated"] > 1500
     assert outcomes["rejected"] > 800
     assert outcomes["raised"] > 50
+    assert taken["table"] > 400 and taken["search"] > 400, taken
+    assert taken["table", True] > 30 and taken["search", True] > 30, taken
 
 
 def _id_faults(text, rng):
@@ -739,6 +782,7 @@ def _id_faults(text, rng):
     lines = text.splitlines()
     inputs, output, gates = lines[0].split()[1:], lines[1].split()[1], lines[2:]
     ids = [line.split()[0] for line in gates]
+    fresh = itertools.count(max(map(int, ids)) + 1)  # ids next to the others
     big = str(rng.choice((1, -1)) * ((1 << rng.choice((63, 64, 127))) + rng.randrange(3)))
 
     def insert(into, item):
@@ -755,7 +799,7 @@ def _id_faults(text, rng):
         elif fault == 3:
             output = rng.choice((big, "99"))
         else:
-            insert(gates, f"{90 + len(gates)} LT 0 {rng.choice((big, '99'))}:1")
+            insert(gates, f"{next(fresh)} LT 0 {rng.choice((big, '99'))}:1")
     return "\n".join(["inputs " + " ".join(inputs), f"output {output}", *gates]) + "\n"
 
 
@@ -764,15 +808,20 @@ def test_read_circuit_names_the_first_of_several_id_faults():
     # an int64 id column among them, name the fault the reference reader
     # names first, by both tokenizing routes.
     rng = random.Random(24)
-    named = collections.Counter()
-    for seed in range(1500):
-        text = _id_faults(_random_circuit_text(rng), rng)
-        outcome = _against_reader(text, seed)
-        assert _against_reader(_unplain(text, rng), seed) == outcome
-        try:
-            read_gates(text)
-        except CircuitTextError as exc:
-            named[re.sub(r"-?[0-9]+", "N", str(exc))] += 1
+    named, taken = collections.Counter(), collections.Counter()
+    with _id_routes() as routes:
+        for seed in range(1500):
+            text = _id_faults(_random_circuit_text(rng), rng)
+            routes.clear()
+            outcome = _against_reader(text, seed)
+            taken.update(routes[:1])
+            assert _against_reader(_unplain(text, rng), seed) == outcome
+            try:
+                read_gates(text)
+            except CircuitTextError as exc:
+                named[re.sub(r"-?[0-9]+", "N", str(exc))] += 1
+    # Most files fail before the source lookup; the rest take both routes.
+    assert taken["table"] > 5 and taken["search"] > 40, taken
     for message in [
         "duplicate gate id N",
         "input id N is not an INPUT gate",

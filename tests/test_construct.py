@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -10,6 +11,7 @@ from eqkit import (
     construct_eq,
     construct_eq_q,
     is_eq_q,
+    is_prime,
     truncate_columns,
 )
 from oracles import block_recursion, brute_kernel
@@ -143,6 +145,35 @@ def test_crt_congruence_invariant():
                 entry = a[i, j]
                 assert 0 <= entry < p
                 assert (entry - 2**j) % p == 0
+
+
+def test_crt_entries_are_powers_of_two_modulo_each_prime():
+    # Column blocks double in int64 while max(p)**2 < 2**63, in exact ints
+    # past that: the primes on either side of 2**31.5, and above 2**32.
+    def primes_from(start, count):
+        return list(itertools.islice(filter(is_prime, itertools.count(start | 1, 2)), count))
+
+    cases = [(n, choose_primes(n)) for n in (1, 2, 3, 31, 64, 100, 257)]
+    cases += [(90, primes_from(3_037_000_400, 3)), (90, primes_from(3_037_000_500, 3))]
+    cases += [(101, primes_from(2**32, 4)), (200, [3, *primes_from(2**40, 5)])]
+    for n, primes in cases:
+        a = build_crt(n, primes)
+        assert a.entries == tuple(tuple(pow(2, j, p) for j in range(n)) for p in primes)
+
+
+def test_crt_memory_stays_under_twice_the_result():
+    # N = 2,000 is 235 x 2000 int64 entries (3.8 MB), built in place and
+    # handed to IntMatrix without a copy.
+    primes = choose_primes(2000)
+    build_crt(8, choose_primes(8))  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        a = build_crt(2000, primes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert a.array.shape == (len(primes), 2000)
+    assert peak < 2 * a.array.nbytes, peak
 
 
 def test_choose_primes_examples():
